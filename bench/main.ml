@@ -86,27 +86,8 @@ let default_skip = [ "all"; "synthetic-faults" ]
 let json_of_rows ~experiment ~(opts : Sb_report.Experiments.run_opts)
     ~(config : Sb_report.Experiments.config) rows =
   let open Sb_util.Json in
-  let cell (r : Sb_report.Experiments.row) =
-    Obj
-      [
-        ("cell", String r.row_cell);
-        ("engine", String r.row_engine);
-        ("arch", String r.row_arch);
-        ("iters", Int r.row_iters);
-        ("repeats", Int r.row_repeats);
-        ("seconds", Float r.row_seconds);
-        ("mean_seconds", Float r.row_mean_seconds);
-        ("samples", List (List.map (fun s -> Float s) r.row_samples));
-        ("kernel_insns", Int r.row_kernel_insns);
-        ( "kernel_perf",
-          Obj (List.map (fun (name, n) -> (name, Int n)) r.row_perf) );
-        ("status", String r.row_status);
-        ("status_note", String r.row_note);
-      ]
-  in
-  Obj
+  Sb_report.Experiments.run_to_json
     [
-      ("schema", String Sb_regress.Baseline.bench_schema);
       ("experiment", String experiment);
       ("jobs", Int opts.jobs);
       ( "config",
@@ -121,8 +102,8 @@ let json_of_rows ~experiment ~(opts : Sb_report.Experiments.run_opts)
                 | None -> "cold"
                 | Some p -> Simbench.Checkpoint.point_to_string p) );
           ] );
-      ("cells", List (List.map cell rows));
     ]
+    (List.map (fun r -> Sb_report.Experiments.row_to_json r) rows)
 
 let write_json ~dir ~experiment ~opts ~config rows =
   Sb_jobs.Cache.mkdir_p dir;

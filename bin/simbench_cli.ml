@@ -505,42 +505,6 @@ let lint_cmd =
       & info [ "a"; "arch" ] ~docv:"ARCH"
           ~doc:"Lint under one architecture support package only (default: all).")
   in
-  let json_escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
-  let finding_json (f : Sb_analysis.Lint.finding) =
-    let loc_fields =
-      match f.Sb_analysis.Lint.loc with
-      | None -> ""
-      | Some l ->
-        Printf.sprintf ",\"op\":%d%s" l.Sb_analysis.Cfg.index
-          (match l.Sb_analysis.Cfg.context with
-          | Some label ->
-            Printf.sprintf ",\"label\":\"%s\",\"offset\":%d" (json_escape label)
-              l.Sb_analysis.Cfg.offset
-          | None -> "")
-    in
-    Printf.sprintf
-      "{\"rule\":\"%s\",\"severity\":\"%s\",\"region\":\"%s\"%s,\"message\":\"%s\"}"
-      (json_escape f.Sb_analysis.Lint.rule)
-      (match f.Sb_analysis.Lint.severity with
-      | Sb_analysis.Lint.Error -> "error"
-      | Sb_analysis.Lint.Warning -> "warning")
-      (json_escape f.Sb_analysis.Lint.region)
-      loc_fields
-      (json_escape f.Sb_analysis.Lint.message)
-  in
   let action arch_opt json strict workloads names =
     let all_benches =
       Simbench.Suite.all @ Simbench.Suite_ext.all
@@ -626,45 +590,13 @@ let lint_cmd =
               benches)
           arches
       in
-      let n_errors = ref 0 and n_warnings = ref 0 in
-      List.iter
-        (fun (_, _, fs) ->
-          List.iter
-            (fun f ->
-              match f.Sb_analysis.Lint.severity with
-              | Sb_analysis.Lint.Error -> incr n_errors
-              | Sb_analysis.Lint.Warning -> incr n_warnings)
-            fs)
-        results;
-      n_errors := !n_errors + List.length pass_violations;
-      if json then begin
-        let lints =
-          List.map
-            (fun (bench, arch, fs) ->
-              Printf.sprintf
-                "{\"bench\":\"%s\",\"arch\":\"%s\",\"findings\":[%s]}"
-                (json_escape bench) (json_escape arch)
-                (String.concat "," (List.map finding_json fs)))
-            results
-        in
-        let violation_json (bench, arch, (v : Sb_analysis.Ir_check.violation))
-            =
-          Printf.sprintf
-            "{\"bench\":\"%s\",\"arch\":\"%s\",\"pass\":\"%s\",\"version\":%s,\"va\":%d,\"insn\":%d,\"message\":\"%s\"}"
-            (json_escape bench) (json_escape arch)
-            (json_escape v.Sb_analysis.Ir_check.pass)
-            (match v.Sb_analysis.Ir_check.version with
-            | Some ver -> Printf.sprintf "\"%s\"" (json_escape ver)
-            | None -> "null")
-            v.Sb_analysis.Ir_check.va v.Sb_analysis.Ir_check.index
-            (json_escape (Sb_analysis.Ir_check.message v))
-        in
-        Printf.printf
-          "{\"schema\":\"simbench-lint-json-1\",\"lints\":[%s],\"pass_violations\":[%s],\"errors\":%d,\"warnings\":%d}\n"
-          (String.concat "," lints)
-          (String.concat "," (List.map violation_json pass_violations))
-          !n_errors !n_warnings
-      end
+      let n_errors, n_warnings =
+        Sb_analysis.Lint.counts results pass_violations
+      in
+      if json then
+        print_endline
+          (Sb_util.Json.to_string
+             (Sb_analysis.Lint.report_to_json results pass_violations))
       else begin
         List.iter
           (fun (bench, arch, fs) ->
@@ -679,13 +611,13 @@ let lint_cmd =
             Printf.printf "%s [%s]: %s\n" bench arch
               (Sb_analysis.Ir_check.message v))
           pass_violations;
-        Printf.printf "%d error%s, %d warning%s across %d lints\n" !n_errors
-          (if !n_errors = 1 then "" else "s")
-          !n_warnings
-          (if !n_warnings = 1 then "" else "s")
+        Printf.printf "%d error%s, %d warning%s across %d lints\n" n_errors
+          (if n_errors = 1 then "" else "s")
+          n_warnings
+          (if n_warnings = 1 then "" else "s")
           (List.length results)
       end;
-      if !n_errors > 0 || (strict && !n_warnings > 0) then 1 else 0
+      if n_errors > 0 || (strict && n_warnings > 0) then 1 else 0
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1009,15 +941,6 @@ let client_cmd =
             "Cancel the job after receiving N rows; remaining queued cells \
              are dropped without killing workers.")
   in
-  let wait_arg =
-    Arg.(
-      value & flag
-      & info [ "wait" ]
-          ~doc:
-            "With --cancel: keep reading until the server confirms the \
-             cancellation (this is the default behaviour; flag kept for \
-             scripting clarity).")
-  in
   let status_arg =
     Arg.(
       value & flag
@@ -1064,39 +987,26 @@ let client_cmd =
             "First reconnect delay; doubles per attempt (with jitter) up to \
              a 5 s ceiling.")
   in
-  let bench_run_json cells =
-    Sb_util.Json.Obj
-      [
-        ("schema", Sb_util.Json.String Sb_regress.Baseline.bench_schema);
-        ("experiment", Sb_util.Json.String "serve");
-        ("cells", Sb_util.Json.List cells);
-      ]
+  let run_json rows =
+    Sb_util.Json.to_string
+      (Sb_report.Experiments.run_to_json
+         [ ("experiment", Sb_util.Json.String "serve") ]
+         (List.map (fun r -> Sb_report.Experiments.row_to_json r) rows))
   in
-  let write_file path contents =
-    let oc = open_out path in
-    output_string oc contents;
-    output_char oc '\n';
-    close_out oc
-  in
-  let print_row ?(retried = false) ~cached cell =
-    let s name =
-      match
-        Option.bind (Sb_util.Json.member name cell) Sb_util.Json.string_opt
-      with
-      | Some v -> v
-      | None -> "?"
-    in
-    let seconds =
-      match
-        Option.bind (Sb_util.Json.member "seconds" cell) Sb_util.Json.float_opt
-      with
-      | Some v -> Printf.sprintf "%.4fs" v
-      | None -> "-"
-    in
-    Printf.printf "%-12s %-28s %-14s %-5s %10s%s%s\n%!" (s "status") (s "cell")
-      (s "engine") (s "arch") seconds
+  let print_row ?(retried = false) ~cached (r : Sb_report.Experiments.row) =
+    Printf.printf "%-12s %-28s %-14s %-5s %9.4fs%s%s\n%!" r.row_status
+      r.row_cell r.row_engine r.row_arch r.row_seconds
       (if cached then "  (cached)" else "")
       (if retried then "  (retried)" else "")
+  in
+  (* rows are decoded as they arrive; a frame that is not a bench cell is
+     reported and left out of the run *)
+  let take_row rows cell k =
+    match Sb_serve.Protocol.row_of_json cell with
+    | Ok row ->
+      rows := row :: !rows;
+      k row
+    | Error msg -> Printf.eprintf "client: dropping malformed row: %s\n%!" msg
   in
   let specs_of_file file =
     match open_in_bin file with
@@ -1130,8 +1040,7 @@ let client_cmd =
     err_exit err
   in
   let action addr spec_file cells arch engine iters repeats id cancel_after
-      wait status dump stop json_out retries backoff =
-    ignore wait;
+      status dump stop json_out retries backoff =
     let with_conn f =
       match Sb_serve.Client.connect addr with
       | Error err -> fail err
@@ -1141,11 +1050,13 @@ let client_cmd =
         code
     in
     let report_outcome ?stats outcome rows_acc =
-      (match json_out with
-      | Some path ->
-        write_file path
-          (Sb_util.Json.to_string (bench_run_json (List.rev rows_acc)))
-      | None -> ());
+      Option.iter
+        (fun path ->
+          let oc = open_out path in
+          output_string oc (run_json (List.rev rows_acc));
+          output_char oc '\n';
+          close_out oc)
+        json_out;
       (match stats with
       | Some s when s.Sb_serve.Resilient.st_reconnects > 0 ->
         Printf.printf "reconnects: %d (rows retried: %d, duplicates dropped: %d)\n"
@@ -1178,9 +1089,17 @@ let client_cmd =
     else if dump then
       with_conn (fun conn ->
           match Sb_serve.Client.dump conn with
-          | Ok (_source, cells) ->
-            print_endline (Sb_util.Json.to_string (bench_run_json cells));
-            0
+          | Ok (source, cells) -> (
+            match
+              Sb_regress.Baseline.of_cells ~source ~experiment:"serve" cells
+            with
+            | Ok run ->
+              print_endline
+                (run_json (List.map snd run.Sb_regress.Regress.cells));
+              0
+            | Error msg ->
+              prerr_endline msg;
+              2)
           | Error err ->
             prerr_endline (Sb_serve.Client.error_message err);
             err_exit err)
@@ -1230,8 +1149,7 @@ let client_cmd =
              reconnect would defeat the point of the test *)
           with_conn (fun conn ->
               let on_row ~key:_ ~cached cell =
-                rows := cell :: !rows;
-                print_row ~cached cell
+                take_row rows cell (print_row ~cached)
               in
               match
                 Sb_serve.Client.submit ?cancel_after ~on_row conn ~id
@@ -1251,8 +1169,7 @@ let client_cmd =
             }
           in
           let on_row ~key:_ ~cached ~retried cell =
-            rows := cell :: !rows;
-            print_row ~retried ~cached cell
+            take_row rows cell (print_row ~retried ~cached)
           in
           let on_event msg = Printf.eprintf "client: %s\n%!" msg in
           match
@@ -1272,8 +1189,8 @@ let client_cmd =
           dump the server's accumulated rows as a bench-schema run.")
     Term.(
       const action $ connect_arg $ spec_arg $ cell_arg $ arch_arg $ engine_arg
-      $ iters_arg $ repeats_arg $ id_arg $ cancel_after_arg $ wait_arg
-      $ status_arg $ dump_arg $ stop_arg $ json_arg $ retries_arg
+      $ iters_arg $ repeats_arg $ id_arg $ cancel_after_arg $ status_arg
+      $ dump_arg $ stop_arg $ json_arg $ retries_arg
       $ backoff_arg)
 
 (* ---- fsck ---- *)
@@ -1463,16 +1380,7 @@ let load_run path =
       in
       Sb_serve.Client.close conn;
       Result.bind r (fun (_source, cells) ->
-          List.fold_left
-            (fun acc c ->
-              Result.bind acc (fun acc ->
-                  Result.map
-                    (fun cell -> cell :: acc)
-                    (Sb_regress.Baseline.cell_of_json ~source:path
-                       ~experiment:"serve" c)))
-            (Ok []) cells
-          |> Result.map (fun cells ->
-                 { Sb_regress.Regress.source = path; cells = List.rev cells }))
+          Sb_regress.Baseline.of_cells ~source:path ~experiment:"serve" cells)
   else Sb_regress.Baseline.load path
 
 let baseline_cmd =

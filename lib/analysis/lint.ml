@@ -473,3 +473,77 @@ let lint_suite ?benches () =
             lint_bench ~support bench ))
         benches)
     Engines.all_arches
+
+(* ------------------------------------------------------------------ *)
+(* The machine-readable report of [simbench lint --json]                *)
+(* ------------------------------------------------------------------ *)
+
+let counts lints violations =
+  List.fold_left
+    (fun (e, w) (_, _, fs) ->
+      List.fold_left
+        (fun (e, w) f ->
+          match f.severity with Error -> (e + 1, w) | Warning -> (e, w + 1))
+        (e, w) fs)
+    (List.length violations, 0)
+    lints
+
+let finding_to_json f =
+  let open Sb_util.Json in
+  let loc =
+    match f.loc with
+    | None -> []
+    | Some l ->
+      ("op", Int l.Cfg.index)
+      ::
+      (match l.Cfg.context with
+      | Some label -> [ ("label", String label); ("offset", Int l.Cfg.offset) ]
+      | None -> [])
+  in
+  Obj
+    ([
+       ("rule", String f.rule);
+       ("severity", String (severity_name f.severity));
+       ("region", String f.region);
+     ]
+    @ loc
+    @ [ ("message", String f.message) ])
+
+let report_to_json lints violations =
+  let open Sb_util.Json in
+  let errors, warnings = counts lints violations in
+  Obj
+    [
+      ("schema", String "simbench-lint-json-1");
+      ( "lints",
+        List
+          (List.map
+             (fun (bench, arch, fs) ->
+               Obj
+                 [
+                   ("bench", String bench);
+                   ("arch", String arch);
+                   ("findings", List (List.map finding_to_json fs));
+                 ])
+             lints) );
+      ( "pass_violations",
+        List
+          (List.map
+             (fun (bench, arch, (v : Ir_check.violation)) ->
+               Obj
+                 [
+                   ("bench", String bench);
+                   ("arch", String arch);
+                   ("pass", String v.Ir_check.pass);
+                   ( "version",
+                     match v.Ir_check.version with
+                     | Some ver -> String ver
+                     | None -> Null );
+                   ("va", Int v.Ir_check.va);
+                   ("insn", Int v.Ir_check.index);
+                   ("message", String (Ir_check.message v));
+                 ])
+             violations) );
+      ("errors", Int errors);
+      ("warnings", Int warnings);
+    ]

@@ -51,3 +51,20 @@ val lint_suite :
   (string * string * finding list) list
 (** Every benchmark (default: shipped suite + extension suite) under every
     architecture support package; [(bench, arch, findings)] triples. *)
+
+val counts :
+  (string * string * finding list) list ->
+  (string * string * Ir_check.violation) list ->
+  int * int
+(** [(errors, warnings)] over [(bench, arch, findings)] triples and
+    [(bench, arch, violation)] pass-validator results; every pass
+    violation counts as an error. *)
+
+val report_to_json :
+  (string * string * finding list) list ->
+  (string * string * Ir_check.violation) list ->
+  Sb_util.Json.t
+(** The [simbench lint --json] report, schema ["simbench-lint-json-1"]:
+    [lints] (findings per bench and arch), [pass_violations] (a
+    violation without a known DBT release has ["version": null]), and
+    the {!counts} as [errors] and [warnings]. *)

@@ -65,7 +65,6 @@ val init_state : ?pc:expr -> unit -> state
 
 val const : int -> expr
 
-val binop : Sb_isa.Uop.alu_op -> expr -> expr -> expr
 val operand : state -> Sb_isa.Uop.operand -> expr
 
 val exec : state -> va:int -> len:int -> Sb_isa.Uop.t -> unit
@@ -73,9 +72,6 @@ val exec : state -> va:int -> len:int -> Sb_isa.Uop.t -> unit
     [len]) against the state.  Mirrors the interpreter's reference
     semantics, including out-of-range coprocessor registers raising the
     undefined exception. *)
-
-val expr_str : expr -> string
-val event_str : event -> string
 
 val diff : ?labels:string * string -> state -> state -> string option
 (** First differing component (register, flag, pc, or ordered effect),

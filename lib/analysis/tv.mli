@@ -69,8 +69,6 @@ val ok : ?strict:bool -> report -> bool
     enumeration must also tile the selector space (no gaps, no overlaps, no
     unskipped class without cases). *)
 
-val enumeration_complete : report -> bool
-
 val render : ?verbose:bool -> report -> string
 (** Human-readable coverage report; [~verbose:true] adds a per-class
     check-count table. *)

@@ -50,10 +50,7 @@ val size : insn -> int
 
 (** Encoding tables shared with the decoder. *)
 
-val alu_index : Sb_isa.Uop.alu_op -> int
-
 val alu_of_index : int -> Sb_isa.Uop.alu_op option
-val cond_to_byte : Sb_isa.Uop.cond -> int
 val cond_of_byte : int -> Sb_isa.Uop.cond option
 
 module Encoder : Sb_asm.Assembler.ENCODER with type insn = insn

@@ -15,6 +15,3 @@ let name = function
   | Io -> "I/O"
   | Memory_system -> "Memory System"
   | Application -> "Application"
-
-let of_name s =
-  List.find_opt (fun c -> String.lowercase_ascii (name c) = String.lowercase_ascii s) all

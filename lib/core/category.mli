@@ -14,4 +14,3 @@ type t =
 val all : t list
 
 val name : t -> string
-val of_name : string -> t option

@@ -27,7 +27,7 @@ let pooled_machine (platform : Platform.t) =
   match Hashtbl.find_opt machine_pool platform.Platform.ram_size with
   | Some m -> m
   | None ->
-    let m = Platform.machine platform ~now:Unix.gettimeofday () in
+    let m = Platform.machine platform () in
     Hashtbl.add machine_pool platform.Platform.ram_size m;
     m
 
@@ -41,7 +41,7 @@ let run ?(platform = Platform.sbp_ref) ?(scale = default_scale) ?iters
   in
   let program = Rt.program ~support ~platform ~bench in
   let fresh_machine () =
-    let machine = Platform.machine platform ~now:Unix.gettimeofday () in
+    let machine = Platform.machine platform () in
     Sb_mem.Benchdev.set_iters machine.Sb_sim.Machine.benchdev iters;
     Sb_sim.Machine.load_program machine program;
     machine
@@ -150,11 +150,3 @@ let run ?(platform = Platform.sbp_ref) ?(scale = default_scale) ?iters
 let density outcome =
   if outcome.kernel_insns = 0 then nan
   else float_of_int outcome.tested_ops /. float_of_int outcome.kernel_insns
-
-let run_suite ?platform ?scale ?switch_at ?setup_engine ?checkpoints ~support
-    ~engine () =
-  List.map
-    (fun bench ->
-      run ?platform ?scale ?switch_at ?setup_engine ?checkpoints ~support
-        ~engine bench)
-    Suite.all

@@ -54,15 +54,3 @@ val run :
 
 val density : outcome -> float
 (** Tested operations per kernel instruction (the Figure 3 metric). *)
-
-val run_suite :
-  ?platform:Platform.t ->
-  ?scale:int ->
-  ?switch_at:Checkpoint.point ->
-  ?setup_engine:Sb_sim.Engine.t ->
-  ?checkpoints:Checkpoint.store ->
-  support:Support.t ->
-  engine:Sb_sim.Engine.t ->
-  unit ->
-  outcome list
-(** All 18 benchmarks in Figure 3 order. *)

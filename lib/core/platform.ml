@@ -64,4 +64,4 @@ let sbp_mini =
 
 let all = [ sbp_ref; sbp_mini ]
 
-let machine t ?now () = Sb_sim.Machine.create ~ram_size:t.ram_size ?now ()
+let machine t () = Sb_sim.Machine.create ~ram_size:t.ram_size ()

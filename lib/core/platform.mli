@@ -37,5 +37,5 @@ val sbp_mini : t
 
 val all : t list
 
-val machine : t -> ?now:(unit -> float) -> unit -> Sb_sim.Machine.t
+val machine : t -> unit -> Sb_sim.Machine.t
 (** Build a machine laid out for this platform. *)

@@ -24,13 +24,6 @@ val vector_slot_labels : string list
     vectoring rather than by any static branch, so analyses must treat these
     as extra control-flow roots. *)
 
-val build_page_tables : Platform.t -> Pasm.op list
-(** The guest code that constructs the page tables (exposed for tests). *)
-
-val enable_irqs : Pasm.op list
-(** ERET trampoline that switches CPU IRQs on while staying in kernel
-    mode. *)
-
 val wrap_irq_handler : Pasm.op list -> Pasm.op list
 (** Bank [v0] and [v3] into the TPIDR scratch registers around an IRQ
     handler body and append the exception return.  Interrupt handlers must

@@ -35,7 +35,6 @@ val generate : seed:int -> t
     flips, 0–2 spurious interrupt lines. *)
 
 val to_json : t -> Sb_util.Json.t
-val of_json : Sb_util.Json.t -> (t, string) result
 val to_string : t -> string
 val of_string : string -> (t, string) result
 

@@ -53,14 +53,6 @@ let make_decoded ~addr ~length uops =
     terminates_block = List.exists terminates_block uops;
   }
 
-let writes_flags = function
-  | Alu { set_flags; _ } -> set_flags
-  | _ -> false
-
-let reads_flags = function
-  | Branch { cond; _ } -> cond <> Always
-  | _ -> false
-
 let eval_cond cond ~n ~z ~c ~v =
   match cond with
   | Always -> true
@@ -137,9 +129,3 @@ let pp ppf = function
   | Tlb_inv_all -> Format.pp_print_string ppf "tlbiall"
   | Wfi -> Format.pp_print_string ppf "wfi"
   | Halt -> Format.pp_print_string ppf "halt"
-
-let pp_decoded ppf d =
-  Format.fprintf ppf "%a: " Sb_util.U32.pp d.addr;
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-    pp ppf d.uops

@@ -65,11 +65,7 @@ val terminates_block : t -> bool
 
 val make_decoded : addr:int -> length:int -> t list -> decoded
 
-val writes_flags : t -> bool
-val reads_flags : t -> bool
-
 val eval_cond : cond -> n:bool -> z:bool -> c:bool -> v:bool -> bool
 (** Architectural condition evaluation shared by every engine. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_decoded : Format.formatter -> decoded -> unit

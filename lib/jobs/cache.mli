@@ -20,10 +20,6 @@ val create : dir:string -> t
     segments no longer decode or whose stored key disagrees with the
     filename).  Swept files count as {!evictions}. *)
 
-val checkpoint_schema : string
-(** Version tag of the checkpoint store layered on this cache; folded into
-    the cache schema (and thus every {!fingerprint}). *)
-
 val dir : t -> string
 
 val fingerprint : 'a -> string

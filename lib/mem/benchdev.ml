@@ -15,7 +15,7 @@ type t = {
   mutable sync_pending : bool;
 }
 
-let create ?(now = fun () -> Sys.time ()) () =
+let create ~now () =
   {
     now;
     phase = Setup;
@@ -33,10 +33,8 @@ let create ?(now = fun () -> Sys.time ()) () =
 
 let set_iters t n = t.iters <- n
 let set_on_phase t f = t.on_phase <- f
-let set_arg t i v = t.args.(i) <- v
 
 let phase t = t.phase
-let kernel_started_at t = t.kernel_start
 let op_count t = t.ops
 let exit_code t = t.exit_code
 let exited t = t.exit_code <> None

@@ -17,9 +17,9 @@ type t
 
 type phase = Setup | Kernel | Cleanup
 
-val create : ?now:(unit -> float) -> unit -> t
-(** [now] defaults to [Sys.time]-independent monotonic-ish wall clock
-    injected by the harness; tests can supply a fake clock. *)
+val create : now:(unit -> float) -> unit -> t
+(** [now] is the host clock that timestamps phase writes, in seconds;
+    {!Sb_sim.Machine.create} supplies the monotonic clock, tests a fake. *)
 
 val device : t -> Device.t
 
@@ -30,14 +30,10 @@ val set_on_phase : t -> (phase -> unit) -> unit
     recorded.  Engines use it to snapshot perf counters at kernel-phase
     boundaries without polling. *)
 
-val set_arg : t -> int -> int -> unit
-(** [set_arg t i v] with [i] in 0..1. *)
-
 val phase : t -> phase
 val kernel_seconds : t -> float option
 (** Wall-clock duration between the kernel-start and kernel-end writes. *)
 
-val kernel_started_at : t -> float option
 val op_count : t -> int
 val exit_code : t -> int option
 val exited : t -> bool

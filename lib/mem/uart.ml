@@ -3,7 +3,6 @@ type t = { buf : Buffer.t }
 let create () = { buf = Buffer.create 256 }
 
 let contents t = Buffer.contents t.buf
-let tx_count t = Buffer.length t.buf
 let reset t = Buffer.clear t.buf
 
 type state = string

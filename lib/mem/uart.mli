@@ -11,7 +11,6 @@ val device : t -> Device.t
 val contents : t -> string
 (** Everything the guest has written so far. *)
 
-val tx_count : t -> int
 val reset : t -> unit
 
 type state = string

@@ -27,11 +27,3 @@ module Ap = struct
       | Kernel -> ap <> kernel_read
       | User -> ap = user_full)
 end
-
-let pp_kind ppf k =
-  Format.pp_print_string ppf
-    (match k with Read -> "read" | Write -> "write" | Execute -> "execute")
-
-let pp_fault ppf f =
-  Format.pp_print_string ppf
-    (match f with Translation -> "translation" | Permission -> "permission")

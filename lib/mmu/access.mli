@@ -24,6 +24,3 @@ module Ap : sig
 
   val permits : ap:int -> xn:bool -> kind -> privilege -> bool
 end
-
-val pp_kind : Format.formatter -> kind -> unit
-val pp_fault : Format.formatter -> fault -> unit

@@ -6,7 +6,6 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable flushes : int;
-  mutable page_invalidations : int;
 }
 
 let create ~entries =
@@ -18,7 +17,6 @@ let create ~entries =
     hits = 0;
     misses = 0;
     flushes = 0;
-    page_invalidations = 0;
   }
 
 let entries t = Array.length t.slots
@@ -45,7 +43,6 @@ let insert t entry =
   t.slots.(slot_index t ~vpn:entry.vpn ~asid:entry.asid) <- Some entry
 
 let invalidate_page t ~vpn ~asid =
-  t.page_invalidations <- t.page_invalidations + 1;
   let i = slot_index t ~vpn ~asid in
   match t.slots.(i) with
   | Some e when e.vpn = vpn && e.asid = asid -> t.slots.(i) <- None
@@ -58,10 +55,3 @@ let flush t =
 let hits t = t.hits
 let misses t = t.misses
 let flushes t = t.flushes
-let page_invalidations t = t.page_invalidations
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.flushes <- 0;
-  t.page_invalidations <- 0

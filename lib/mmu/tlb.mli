@@ -43,6 +43,3 @@ val flush : t -> unit
 val hits : t -> int
 val misses : t -> int
 val flushes : t -> int
-val page_invalidations : t -> int
-
-val reset_stats : t -> unit

@@ -1,11 +1,11 @@
 module Json = Sb_util.Json
+module E = Sb_report.Experiments
 
 (* schema tags: readers reject anything else with a clear message instead
    of mis-decoding old files.
    bench 3: cells gained "status" (failure-as-data); schema-2 files are
    still readable — the field defaults to "ok". *)
-let bench_schema = "simbench-bench-json-3"
-let bench_schema_compat = [ bench_schema; "simbench-bench-json-2" ]
+let bench_schema_compat = [ E.bench_schema; "simbench-bench-json-2" ]
 let snapshot_schema = "simbench-baseline-1"
 
 let ( let* ) = Result.bind
@@ -21,94 +21,27 @@ let field ~source obj name decode =
     | None -> error_in ~source (Printf.sprintf "field %S has the wrong shape" name))
 
 (* ------------------------------------------------------------------ *)
-(* Cells                                                                *)
+(* Cells: the codec is Sb_report.Experiments'; a snapshot cell also     *)
+(* names its experiment, a bench-file cell takes the file's.            *)
 (* ------------------------------------------------------------------ *)
 
-let json_of_cell (c : Regress.cell) =
-  Json.Obj
-    [
-      ("experiment", Json.String c.Regress.experiment);
-      ("cell", Json.String c.Regress.cell);
-      ("engine", Json.String c.Regress.engine);
-      ("arch", Json.String c.Regress.arch);
-      ("iters", Json.Int c.Regress.iters);
-      ("repeats", Json.Int c.Regress.repeats);
-      ("seconds", Json.Float c.Regress.seconds);
-      ("mean_seconds", Json.Float c.Regress.mean_seconds);
-      ( "samples",
-        Json.List (List.map (fun s -> Json.Float s) c.Regress.samples) );
-      ("kernel_insns", Json.Int c.Regress.kernel_insns);
-      ( "kernel_perf",
-        Json.Obj
-          (List.map (fun (name, n) -> (name, Json.Int n)) c.Regress.perf) );
-      ("status", Json.String c.Regress.status);
-    ]
-
-let cell_of_json ~source ~experiment j =
-  let experiment =
-    match Option.bind (Json.member "experiment" j) Json.string_opt with
-    | Some e -> e
-    | None -> experiment
-  in
-  let* cell = field ~source j "cell" Json.string_opt in
-  let source = Printf.sprintf "%s (cell %S)" source cell in
-  let* engine = field ~source j "engine" Json.string_opt in
-  let* arch = field ~source j "arch" Json.string_opt in
-  let* iters = field ~source j "iters" Json.int_opt in
-  let* repeats = field ~source j "repeats" Json.int_opt in
-  let* seconds = field ~source j "seconds" Json.float_opt in
-  let* mean_seconds = field ~source j "mean_seconds" Json.float_opt in
-  let* samples_json = field ~source j "samples" Json.list_opt in
-  let* samples =
-    List.fold_left
-      (fun acc s ->
-        let* acc = acc in
-        match Json.float_opt s with
-        | Some f -> Ok (f :: acc)
-        | None -> error_in ~source "non-numeric entry in \"samples\"")
-      (Ok []) samples_json
-    |> Result.map List.rev
-  in
-  let* kernel_insns = field ~source j "kernel_insns" Json.int_opt in
-  let perf =
-    match Json.member "kernel_perf" j with
-    | Some (Json.Obj fields) ->
-      List.filter_map
-        (fun (name, v) -> Option.map (fun n -> (name, n)) (Json.int_opt v))
-        fields
-    | _ -> []
-  in
-  (* absent in schema-2 files and in snapshots taken from them *)
-  let status =
-    match Option.bind (Json.member "status" j) Json.string_opt with
-    | Some s -> s
-    | None -> "ok"
-  in
-  Ok
-    {
-      Regress.experiment;
-      engine;
-      arch;
-      cell;
-      iters;
-      repeats;
-      seconds;
-      mean_seconds;
-      samples;
-      kernel_insns;
-      perf;
-      status;
-    }
-
-let cells_of_json ~source ~experiment j =
-  let* cells_json = field ~source j "cells" Json.list_opt in
+let of_cells ~source ~experiment cells =
   List.fold_left
-    (fun acc c ->
+    (fun acc j ->
       let* acc = acc in
-      let* cell = cell_of_json ~source ~experiment c in
-      Ok (cell :: acc))
-    (Ok []) cells_json
-  |> Result.map List.rev
+      let experiment =
+        Option.value ~default:experiment
+          (Option.bind (Json.member "experiment" j) Json.string_opt)
+      in
+      match E.row_of_json ~default_status:"ok" j with
+      | Ok row -> Ok ((experiment, row) :: acc)
+      | Error msg -> error_in ~source msg)
+    (Ok []) cells
+  |> Result.map (fun cells -> { Regress.source; cells = List.rev cells })
+
+let run_of_json ~source ~experiment j =
+  let* cells = field ~source j "cells" Json.list_opt in
+  of_cells ~source ~experiment cells
 
 (* ------------------------------------------------------------------ *)
 (* File formats                                                         *)
@@ -123,9 +56,9 @@ let read_file path =
     close_in_noerr ic;
     Ok s
 
-let check_schema ~source ~expected j =
+(* the error for a file whose schema tag is none of the accepted ones *)
+let schema_error ~source ~expected j =
   match Option.bind (Json.member "schema" j) Json.string_opt with
-  | Some s when s = expected -> Ok ()
   | Some s ->
     error_in ~source
       (Printf.sprintf "schema %S is not the expected %S — re-create this file \
@@ -139,24 +72,28 @@ let check_schema ~source ~expected j =
           --json to regenerate it"
          expected)
 
-let parse ~source s =
-  match Json.of_string s with
-  | Ok j -> Ok j
-  | Error msg -> error_in ~source msg
-
-let is_bench_schema tag = List.mem tag bench_schema_compat
-
-(* one BENCH_<experiment>.json written by bench/main.exe --json *)
-let load_bench_file path =
+(* a single run file: a BENCH_<experiment>.json written by bench/main.exe
+   --json (its experiment recorded once at top level), or a snapshot when
+   [snapshots] is set (each cell names its own experiment) *)
+let load_file ~snapshots path =
   let* s = read_file path in
-  let* j = parse ~source:path s in
-  let* () =
-    match Option.bind (Json.member "schema" j) Json.string_opt with
-    | Some tag when is_bench_schema tag -> Ok ()
-    | _ -> check_schema ~source:path ~expected:bench_schema j
+  let* j =
+    match Json.of_string s with
+    | Ok j -> Ok j
+    | Error msg -> error_in ~source:path msg
   in
-  let* experiment = field ~source:path j "experiment" Json.string_opt in
-  cells_of_json ~source:path ~experiment j
+  match Option.bind (Json.member "schema" j) Json.string_opt with
+  | Some tag when snapshots && tag = snapshot_schema ->
+    run_of_json ~source:path ~experiment:"?" j
+  | Some tag when List.mem tag bench_schema_compat ->
+    let* experiment = field ~source:path j "experiment" Json.string_opt in
+    run_of_json ~source:path ~experiment j
+  | _ ->
+    schema_error ~source:path
+      ~expected:(if snapshots then snapshot_schema else E.bench_schema)
+      j
+
+let load_bench_file path = load_file ~snapshots:false path
 
 let is_bench_file name =
   String.length name > 6
@@ -174,71 +111,45 @@ let load_run_dir dir =
       List.fold_left
         (fun acc name ->
           let* acc = acc in
-          let* cells = load_bench_file (Filename.concat dir name) in
-          Ok (acc @ cells))
+          let* run = load_bench_file (Filename.concat dir name) in
+          Ok (acc @ run.Regress.cells))
         (Ok []) files
       |> Result.map (fun cells -> { Regress.source = dir; cells })
-
-let load_snapshot path =
-  let* s = read_file path in
-  let* j = parse ~source:path s in
-  let* () = check_schema ~source:path ~expected:snapshot_schema j in
-  let* cells = cells_of_json ~source:path ~experiment:"?" j in
-  Ok { Regress.source = path; cells }
 
 let load path =
   if not (Sys.file_exists path) then
     error_in ~source:path "no such file or directory"
   else if Sys.is_directory path then load_run_dir path
-  else
-    let* s = read_file path in
-    let* j = parse ~source:path s in
-    match Option.bind (Json.member "schema" j) Json.string_opt with
-    | Some tag when tag = snapshot_schema ->
-      let* cells = cells_of_json ~source:path ~experiment:"?" j in
-      Ok { Regress.source = path; cells }
-    | Some tag when is_bench_schema tag ->
-      let* experiment = field ~source:path j "experiment" Json.string_opt in
-      let* cells = cells_of_json ~source:path ~experiment j in
-      Ok { Regress.source = path; cells }
-    | _ ->
-      (* surface the standard schema message for unknown/missing tags *)
-      let* () = check_schema ~source:path ~expected:snapshot_schema j in
-      Ok { Regress.source = path; cells = [] }
+  else load_file ~snapshots:true path
 
 let filter_engine run engine =
   {
     run with
     Regress.cells =
-      List.filter (fun c -> c.Regress.engine = engine) run.Regress.cells;
+      List.filter
+        (fun (_, r) -> r.E.row_engine = engine)
+        run.Regress.cells;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let json_of_run (run : Regress.run) =
-  Json.Obj
-    [
-      ("schema", Json.String snapshot_schema);
-      ("source", Json.String run.Regress.source);
-      ( "host",
-        Json.String (Printf.sprintf "OCaml %s (%s)" Sys.ocaml_version Sys.os_type)
-      );
-      ("cells", Json.List (List.map json_of_cell run.Regress.cells));
-    ]
-
-let rec mkdir_p dir =
-  if dir = "" || dir = "." || dir = "/" then ()
-  else if Sys.file_exists dir then ()
-  else begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let write_snapshot ~out run =
-  mkdir_p (Filename.dirname out);
+let write_snapshot ~out (run : Regress.run) =
+  Sb_jobs.Cache.mkdir_p (Filename.dirname out);
+  let json =
+    E.run_to_json ~schema:snapshot_schema
+      [
+        ("source", Json.String run.Regress.source);
+        ( "host",
+          Json.String
+            (Printf.sprintf "OCaml %s (%s)" Sys.ocaml_version Sys.os_type) );
+      ]
+      (List.map
+         (fun (experiment, row) -> E.row_to_json ~experiment row)
+         run.Regress.cells)
+  in
   let oc = open_out out in
-  output_string oc (Json.to_string (json_of_run run));
+  output_string oc (Json.to_string json);
   output_char oc '\n';
   close_out oc

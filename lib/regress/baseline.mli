@@ -1,53 +1,43 @@
 (** Loading and snapshotting serialized benchmark runs.
 
-    Two on-disk shapes are understood, both schema-tagged so old files
-    (which lack the raw per-repeat samples) are rejected with a clear
-    message instead of mis-decoded:
+    Cells are read and written by the one bench-cell codec,
+    {!Sb_report.Experiments.row_of_json} and
+    {!Sb_report.Experiments.row_to_json}, inside the run envelope of
+    {!Sb_report.Experiments.run_to_json}.  Two on-disk shapes are
+    understood, both schema-tagged so old files (which lack the raw
+    per-repeat samples) are rejected with a clear message instead of
+    mis-decoded:
 
     - a {e run directory}: the [BENCH_<experiment>.json] files written by
-      [bench/main.exe --json DIR] (schema {!bench_schema});
-    - a {e snapshot}: one self-contained file merging every cell of a run
-      (schema {!snapshot_schema}), written by [simbench baseline] and the
-      thing you check in as a CI baseline (see [bench/baseline/]). *)
+      [bench/main.exe --json DIR] (schema
+      {!Sb_report.Experiments.bench_schema}; schema-2 files, whose cells
+      have no [status], are still accepted and read as status ["ok"]);
+    - a {e snapshot}: one self-contained file merging every cell of a run,
+      each cell naming its experiment (schema ["simbench-baseline-1"]), written
+      by [simbench baseline] and the thing you check in as a CI baseline
+      (see [bench/baseline/]). *)
 
-val bench_schema : string
-(** ["simbench-bench-json-3"] — per-experiment [--json] files; bumped when
-    cells gained the per-cell [status] field.  Schema-2 files (no
-    [status]) are still accepted on read; their cells default to
-    status ["ok"]. *)
-
-val snapshot_schema : string
-(** ["simbench-baseline-1"] — merged baseline snapshots. *)
-
-val json_of_cell : Regress.cell -> Sb_util.Json.t
-
-val cell_of_json :
+val of_cells :
   source:string ->
   experiment:string ->
-  Sb_util.Json.t ->
-  (Regress.cell, string) result
-(** [experiment] is the default when the cell object carries none (bench
-    files record it once at top level); errors name [source] and the cell. *)
+  Sb_util.Json.t list ->
+  (Regress.run, string) result
+(** Decode bench cells (for example a serve daemon's dump); [experiment]
+    is the default for cells that do not name one.  Errors name [source],
+    the cell and the field. *)
 
-val load_bench_file : string -> (Regress.cell list, string) result
-(** One [BENCH_*.json] file; rejects files that are neither
-    {!bench_schema} nor the schema-2 back-compat shape. *)
-
-val load_run_dir : string -> (Regress.run, string) result
-(** Every [BENCH_*.json] in a [--json] output directory, sorted by file
-    name; an error if there are none. *)
-
-val load_snapshot : string -> (Regress.run, string) result
+val load_bench_file : string -> (Regress.run, string) result
+(** One [BENCH_*.json] file; rejects files that are neither the current
+    bench schema nor the schema-2 back-compat shape. *)
 
 val load : string -> (Regress.run, string) result
-(** Directory: {!load_run_dir}.  File: accepted as either a snapshot or a
-    single bench file, keyed on its ["schema"] field. *)
+(** Directory: every [BENCH_*.json] in it, sorted by file name (an error
+    if there are none).  File: accepted as either a snapshot or a single
+    bench file, keyed on its ["schema"] field. *)
 
 val filter_engine : Regress.run -> string -> Regress.run
 (** Keep only the cells of one engine label (pair with
     [Regress.compare_runs ~ignore_engine:true]). *)
-
-val json_of_run : Regress.run -> Sb_util.Json.t
 
 val write_snapshot : out:string -> Regress.run -> unit
 (** Serialize as a snapshot, creating parent directories as needed. *)

@@ -1,21 +1,7 @@
 module Json = Sb_util.Json
 module Stats = Sb_util.Stats
 module Tablefmt = Sb_util.Tablefmt
-
-type cell = {
-  experiment : string;
-  engine : string;
-  arch : string;
-  cell : string;
-  iters : int;
-  repeats : int;
-  seconds : float;
-  mean_seconds : float;
-  samples : float list;
-  kernel_insns : int;
-  perf : (string * int) list;
-  status : string;
-}
+module E = Sb_report.Experiments
 
 (* "retried n" cells carry real measurements — the flakiness was upstream
    of the numbers — so they compare like "ok"; terminal failures
@@ -24,7 +10,7 @@ type cell = {
 let ok_status s =
   s = "ok" || (String.length s >= 7 && String.sub s 0 7 = "retried")
 
-type run = { source : string; cells : cell list }
+type run = { source : string; cells : (string * E.row) list }
 
 let default_threshold = 0.05
 
@@ -37,8 +23,8 @@ type verdict = Regressed | Improved | Unchanged
 type note = Confirmed | Below_threshold | Within_noise
 
 type comparison = {
-  c_old : cell;
-  c_new : cell;
+  c_old : E.row;
+  c_new : E.row;
   c_delta : float;
   c_ci_old : float * float;
   c_ci_new : float * float;
@@ -49,10 +35,11 @@ type comparison = {
 
 let classify ~threshold ~old_cell ~new_cell =
   let delta =
-    Stats.relative_change ~baseline:old_cell.seconds new_cell.seconds
+    Stats.relative_change ~baseline:old_cell.E.row_seconds
+      new_cell.E.row_seconds
   in
-  let ci_old = Stats.ci95 old_cell.samples in
-  let ci_new = Stats.ci95 new_cell.samples in
+  let ci_old = Stats.ci95 old_cell.E.row_samples in
+  let ci_new = Stats.ci95 new_cell.E.row_samples in
   let verdict, note =
     if Float.abs delta < threshold then (Unchanged, Below_threshold)
     else if Stats.intervals_overlap ci_old ci_new then (Unchanged, Within_noise)
@@ -67,7 +54,8 @@ let classify ~threshold ~old_cell ~new_cell =
     c_ci_new = ci_new;
     c_verdict = verdict;
     c_note = note;
-    c_insns_changed = old_cell.kernel_insns <> new_cell.kernel_insns;
+    c_insns_changed =
+      old_cell.E.row_kernel_insns <> new_cell.E.row_kernel_insns;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -80,21 +68,24 @@ type report = {
   r_new_source : string;
   r_engine_remap : (string * string) option;
   r_pairs : comparison list;
-  r_only_old : cell list;
-  r_only_new : cell list;
-  r_mismatched : (cell * cell) list;
-  r_skipped_status : (cell * cell) list;
-  r_skipped_samples : (cell * cell) list;
+  r_only_old : E.row list;
+  r_only_new : E.row list;
+  r_mismatched : (E.row * E.row) list;
+  r_skipped_status : (E.row * E.row) list;
+  r_skipped_samples : (E.row * E.row) list;
 }
 
 (* cells are recorded per experiment but the sweep memoization means the
    same (engine, arch, cell) triple shows up with identical numbers in
    every experiment that shares it — keep the first occurrence *)
+let pair_key ~with_engine (c : E.row) =
+  ((if with_engine then c.row_engine else ""), c.row_arch, c.row_cell)
+
 let dedup ~with_engine cells =
   let seen = Hashtbl.create 64 in
   List.filter
     (fun c ->
-      let k = ((if with_engine then c.engine else ""), c.arch, c.cell) in
+      let k = pair_key ~with_engine c in
       if Hashtbl.mem seen k then false
       else begin
         Hashtbl.add seen k ();
@@ -102,10 +93,11 @@ let dedup ~with_engine cells =
       end)
     cells
 
-let engines_of cells = List.sort_uniq compare (List.map (fun c -> c.engine) cells)
+let engines_of cells =
+  List.sort_uniq compare (List.map (fun c -> c.E.row_engine) cells)
 
 let pair_runs ~with_engine old_cells new_cells =
-  let key c = ((if with_engine then c.engine else ""), c.arch, c.cell) in
+  let key = pair_key ~with_engine in
   let old_cells = dedup ~with_engine old_cells in
   let new_cells = dedup ~with_engine new_cells in
   let new_tbl = Hashtbl.create 64 in
@@ -127,19 +119,19 @@ let pair_runs ~with_engine old_cells new_cells =
 
 let compare_runs ?(threshold = default_threshold) ?(ignore_engine = false)
     ~old_run ~new_run () =
+  let old_rows = List.map snd old_run.cells in
+  let new_rows = List.map snd new_run.cells in
   let pairs, only_old, only_new, remap =
-    let strict =
-      pair_runs ~with_engine:(not ignore_engine) old_run.cells new_run.cells
-    in
+    let strict = pair_runs ~with_engine:(not ignore_engine) old_rows new_rows in
     match strict with
     | [], _, _ when not ignore_engine -> (
       (* no key matched: if each side is a single (different) engine
          configuration, this is an engine-version diff — the paper's
          old-vs-new QEMU scenario — so pair by (arch, cell) and say so *)
-      match (engines_of old_run.cells, engines_of new_run.cells) with
+      match (engines_of old_rows, engines_of new_rows) with
       | [ e_old ], [ e_new ] when e_old <> e_new ->
         let pairs, only_old, only_new =
-          pair_runs ~with_engine:false old_run.cells new_run.cells
+          pair_runs ~with_engine:false old_rows new_rows
         in
         (pairs, only_old, only_new, Some (e_old, e_new))
       | _ ->
@@ -153,16 +145,16 @@ let compare_runs ?(threshold = default_threshold) ?(ignore_engine = false)
      iters = 0, which would otherwise mislabel the pair as mismatched) *)
   let skipped_status, rest =
     List.partition
-      (fun (o, n) -> not (ok_status o.status && ok_status n.status))
+      (fun (o, n) -> not (ok_status o.E.row_status && ok_status n.E.row_status))
       pairs
   in
   let rest, mismatched =
-    List.partition (fun (o, n) -> o.iters = n.iters) rest
+    List.partition (fun (o, n) -> o.E.row_iters = n.E.row_iters) rest
   in
   (* a 0- or 1-sample vector has no spread: ci95 degenerates to a point
      (or nan), and "significance" would be decided by raw threshold alone.
      Classify such pairs as skipped rather than pretending to a verdict. *)
-  let enough c = List.length c.samples >= 2 in
+  let enough c = List.length c.E.row_samples >= 2 in
   let comparable, skipped_samples =
     List.partition (fun (o, n) -> enough o && enough n) rest
   in
@@ -186,9 +178,6 @@ let compare_runs ?(threshold = default_threshold) ?(ignore_engine = false)
 
 let regressions report =
   List.filter (fun c -> c.c_verdict = Regressed) report.r_pairs
-
-let improvements report =
-  List.filter (fun c -> c.c_verdict = Improved) report.r_pairs
 
 let exit_code ~strict report =
   if strict && regressions report <> [] then 1 else 0
@@ -237,7 +226,7 @@ let attribution report =
   let order = ref [] in
   List.iter
     (fun c ->
-      let cat = category_of_cell c.c_old.cell in
+      let cat = category_of_cell c.c_old.E.row_cell in
       match Hashtbl.find_opt tbl cat with
       | Some l -> l := c :: !l
       | None ->
@@ -255,7 +244,9 @@ let attribution report =
         cat_improved = count Improved;
         cat_geomean_ratio =
           Stats.geomean
-            (List.map (fun c -> c.c_new.seconds /. c.c_old.seconds) cs);
+            (List.map
+               (fun c -> c.c_new.E.row_seconds /. c.c_old.E.row_seconds)
+               cs);
       })
     !order
 
@@ -286,13 +277,13 @@ let verdict_cell c =
 
 let cell_row c =
   [
-    c.c_old.cell;
-    c.c_old.arch;
-    (match c.c_old.engine = c.c_new.engine with
-    | true -> c.c_old.engine
-    | false -> c.c_old.engine ^ " -> " ^ c.c_new.engine);
-    Printf.sprintf "%.4f" c.c_old.seconds;
-    Printf.sprintf "%.4f" c.c_new.seconds;
+    c.c_old.E.row_cell;
+    c.c_old.E.row_arch;
+    (match c.c_old.E.row_engine = c.c_new.E.row_engine with
+    | true -> c.c_old.E.row_engine
+    | false -> c.c_old.E.row_engine ^ " -> " ^ c.c_new.E.row_engine);
+    Printf.sprintf "%.4f" c.c_old.E.row_seconds;
+    Printf.sprintf "%.4f" c.c_new.E.row_seconds;
     pct c.c_delta;
     verdict_cell c ^ (if c.c_insns_changed then " !insns" else "");
   ]
@@ -355,8 +346,8 @@ let render ?(all_cells = false) report =
     out "\nSkipped cells (failure status, not compared):\n";
     List.iter
       (fun (o, n) ->
-        out "  %s/%s/%s: old %s, new %s\n" o.cell o.arch o.engine o.status
-          n.status)
+        out "  %s/%s/%s: old %s, new %s\n" o.E.row_cell o.E.row_arch
+          o.E.row_engine o.E.row_status n.E.row_status)
       report.r_skipped_status
   end;
   let n v = List.length (List.filter (fun c -> c.c_verdict = v) report.r_pairs) in
@@ -386,19 +377,19 @@ let json_of_comparison c =
   let interval (lo, hi) = Json.List [ Json.Float lo; Json.Float hi ] in
   Json.Obj
     [
-      ("cell", Json.String c.c_old.cell);
-      ("arch", Json.String c.c_old.arch);
-      ("old_engine", Json.String c.c_old.engine);
-      ("new_engine", Json.String c.c_new.engine);
-      ("old_seconds", Json.Float c.c_old.seconds);
-      ("new_seconds", Json.Float c.c_new.seconds);
+      ("cell", Json.String c.c_old.E.row_cell);
+      ("arch", Json.String c.c_old.E.row_arch);
+      ("old_engine", Json.String c.c_old.E.row_engine);
+      ("new_engine", Json.String c.c_new.E.row_engine);
+      ("old_seconds", Json.Float c.c_old.E.row_seconds);
+      ("new_seconds", Json.Float c.c_new.E.row_seconds);
       ("delta", Json.Float c.c_delta);
       ("ci_old", interval c.c_ci_old);
       ("ci_new", interval c.c_ci_new);
       ("verdict", Json.String (verdict_name c.c_verdict));
       ("note", Json.String (note_name c.c_note));
       ("insns_changed", Json.Bool c.c_insns_changed);
-      ("category", Json.String (category_of_cell c.c_old.cell));
+      ("category", Json.String (category_of_cell c.c_old.E.row_cell));
     ]
 
 let to_json report =
@@ -426,11 +417,11 @@ let to_json report =
              (fun (o, n) ->
                Json.Obj
                  [
-                   ("cell", Json.String o.cell);
-                   ("arch", Json.String o.arch);
-                   ("engine", Json.String o.engine);
-                   ("old_status", Json.String o.status);
-                   ("new_status", Json.String n.status);
+                   ("cell", Json.String o.E.row_cell);
+                   ("arch", Json.String o.E.row_arch);
+                   ("engine", Json.String o.E.row_engine);
+                   ("old_status", Json.String o.E.row_status);
+                   ("new_status", Json.String n.E.row_status);
                  ])
              report.r_skipped_status) );
       ( "categories",

@@ -22,27 +22,12 @@
     records a harness failure ("failed"/"timeout"/"quarantined") are
     likewise skipped with a note instead of compared. *)
 
-(** One serialized measurement cell: {!Sb_report.Experiments.row} plus its
-    experiment of origin, as read back from [--json] output. *)
-type cell = {
-  experiment : string;
-  engine : string;
-  arch : string;
-  cell : string;
-  iters : int;
-  repeats : int;
-  seconds : float;  (** reported time: minimum across repeats *)
-  mean_seconds : float;
-  samples : float list;  (** raw per-repeat kernel seconds, run order *)
-  kernel_insns : int;
-  perf : (string * int) list;
-  status : string;
-      (** ["ok"], ["retried <n>"] (compared normally), or a terminal
-          harness failure (["failed"]/["timeout"]/["quarantined"]:
-          skipped).  Schema-2 files without the field read as ["ok"]. *)
-}
-
-type run = { source : string; cells : cell list }
+type run = { source : string; cells : (string * Sb_report.Experiments.row) list }
+(** A serialized run: its cells, each paired with its experiment of
+    origin, as read back from [--json] output or a snapshot
+    ({!Baseline}).  Cell status: ["ok"] and ["retried <n>"] are compared
+    normally, a terminal harness failure (["failed"]/["timeout"]/
+    ["quarantined"]) is skipped. *)
 
 val default_threshold : float
 (** [0.05]: a 5% minimum effect. *)
@@ -56,8 +41,8 @@ type note =
   | Within_noise  (** over threshold, but the intervals overlap *)
 
 type comparison = {
-  c_old : cell;
-  c_new : cell;
+  c_old : Sb_report.Experiments.row;
+  c_new : Sb_report.Experiments.row;
   c_delta : float;  (** relative change of the reported (min) seconds *)
   c_ci_old : float * float;
   c_ci_new : float * float;
@@ -68,7 +53,11 @@ type comparison = {
           noise-free signal that guest-visible behaviour changed *)
 }
 
-val classify : threshold:float -> old_cell:cell -> new_cell:cell -> comparison
+val classify :
+  threshold:float ->
+  old_cell:Sb_report.Experiments.row ->
+  new_cell:Sb_report.Experiments.row ->
+  comparison
 
 type report = {
   r_threshold : float;
@@ -79,14 +68,16 @@ type report = {
           were paired by (arch, cell) across the rename — the old-vs-new
           engine-version scenario of Figures 2/6 *)
   r_pairs : comparison list;
-  r_only_old : cell list;
-  r_only_new : cell list;
-  r_mismatched : (cell * cell) list;
+  r_only_old : Sb_report.Experiments.row list;
+  r_only_new : Sb_report.Experiments.row list;
+  r_mismatched : (Sb_report.Experiments.row * Sb_report.Experiments.row) list;
       (** paired cells whose iteration counts differ: not comparable *)
-  r_skipped_status : (cell * cell) list;
+  r_skipped_status :
+    (Sb_report.Experiments.row * Sb_report.Experiments.row) list;
       (** pairs where at least one side is a harness failure
           (status "failed"/"timeout"/"quarantined"): skipped with a note *)
-  r_skipped_samples : (cell * cell) list;
+  r_skipped_samples :
+    (Sb_report.Experiments.row * Sb_report.Experiments.row) list;
       (** pairs where a side has fewer than two samples: no noise
           estimate, so no verdict is pretended *)
 }
@@ -107,7 +98,6 @@ val compare_runs :
     are treated as renamed ([r_engine_remap]). *)
 
 val regressions : report -> comparison list
-val improvements : report -> comparison list
 
 val exit_code : strict:bool -> report -> int
 (** [1] when [strict] and at least one confirmed regression, else [0]. *)
@@ -115,11 +105,6 @@ val exit_code : strict:bool -> report -> int
 val category_of_cell : string -> string
 (** Benchmark/workload name to SimBench category name ({!Simbench.Category});
     SPEC-analog workloads map to "Application", unknown cells to "Other". *)
-
-val mechanism_hint : string -> string option
-(** The simulator mechanism a category-level shift implicates — the
-    paper's reading ("code-gen regressed: consistent with a
-    translation-cache change"). *)
 
 type category_summary = {
   cat_name : string;

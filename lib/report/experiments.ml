@@ -1,5 +1,6 @@
 module Tablefmt = Sb_util.Tablefmt
 module Stats = Sb_util.Stats
+module Json = Sb_util.Json
 module Pool = Sb_jobs.Pool
 module Cache = Sb_jobs.Cache
 
@@ -69,6 +70,102 @@ type row = {
       (** ["ok"], ["retried <n>"], ["failed"], ["timeout"], ["quarantined"] *)
   row_note : string;  (** failure detail; empty when ok *)
 }
+
+(* ------------------------------------------------------------------ *)
+(* The bench-cell codec: the one JSON shape of a row, written by        *)
+(* bench/main.exe --json, serve row frames, client output and baseline  *)
+(* snapshots, and read back by all of their consumers.                  *)
+(* ------------------------------------------------------------------ *)
+
+let bench_schema = "simbench-bench-json-3"
+
+let row_to_json ?experiment r =
+  Json.Obj
+    ((match experiment with
+     | None -> []
+     | Some e -> [ ("experiment", Json.String e) ])
+    @ [
+        ("cell", Json.String r.row_cell);
+        ("engine", Json.String r.row_engine);
+        ("arch", Json.String r.row_arch);
+        ("iters", Json.Int r.row_iters);
+        ("repeats", Json.Int r.row_repeats);
+        ("seconds", Json.Float r.row_seconds);
+        ("mean_seconds", Json.Float r.row_mean_seconds);
+        ("samples", Json.List (List.map (fun s -> Json.Float s) r.row_samples));
+        ("kernel_insns", Json.Int r.row_kernel_insns);
+        ( "kernel_perf",
+          Json.Obj
+            (List.map (fun (name, n) -> (name, Json.Int n)) r.row_perf) );
+        ("status", Json.String r.row_status);
+        ("status_note", Json.String r.row_note);
+      ])
+
+let ( let* ) = Result.bind
+
+let row_of_json ?default_status j =
+  let field ~ctx name decode =
+    match Json.member name j with
+    | None -> Error (Printf.sprintf "%smissing field %S" ctx name)
+    | Some v -> (
+      match decode v with
+      | Some x -> Ok x
+      | None ->
+        Error (Printf.sprintf "%sfield %S has the wrong shape" ctx name))
+  in
+  let* cell = field ~ctx:"" "cell" Json.string_opt in
+  let ctx = Printf.sprintf "cell %S: " cell in
+  let field name decode = field ~ctx name decode in
+  let* engine = field "engine" Json.string_opt in
+  let* arch = field "arch" Json.string_opt in
+  let* iters = field "iters" Json.int_opt in
+  let* repeats = field "repeats" Json.int_opt in
+  let* seconds = field "seconds" Json.float_opt in
+  let* mean_seconds = field "mean_seconds" Json.float_opt in
+  let* samples =
+    field "samples" (fun v ->
+        Option.bind (Json.list_opt v) (fun l ->
+            let fs = List.filter_map Json.float_opt l in
+            if List.length fs = List.length l then Some fs else None))
+  in
+  let* kernel_insns = field "kernel_insns" Json.int_opt in
+  let perf =
+    match Json.member "kernel_perf" j with
+    | Some (Json.Obj fields) ->
+      List.filter_map
+        (fun (name, v) -> Option.map (fun n -> (name, n)) (Json.int_opt v))
+        fields
+    | _ -> []
+  in
+  let* status =
+    match (Json.member "status" j, default_status) with
+    | None, Some s -> Ok s
+    | _ -> field "status" Json.string_opt
+  in
+  let note =
+    Option.value ~default:""
+      (Option.bind (Json.member "status_note" j) Json.string_opt)
+  in
+  Ok
+    {
+      row_cell = cell;
+      row_engine = engine;
+      row_arch = arch;
+      row_iters = iters;
+      row_repeats = repeats;
+      row_seconds = seconds;
+      row_mean_seconds = mean_seconds;
+      row_samples = samples;
+      row_kernel_insns = kernel_insns;
+      row_perf = perf;
+      row_status = status;
+      row_note = note;
+    }
+
+let run_to_json ?(schema = bench_schema) header cells =
+  Json.Obj
+    ((("schema", Json.String schema) :: header)
+    @ [ ("cells", Json.List cells) ])
 
 type cell_kind = [ `Suite | `Workloads of int ]
 
@@ -328,11 +425,6 @@ let times_for ?opts ~arch ~config ~kind dbt_config =
 
 let suite_times_for_version ?opts ~arch ~config dbt_config =
   times_for ?opts ~arch ~config ~kind:`Suite dbt_config
-
-let workload_times_for_version ?opts ~arch ~config dbt_config =
-  times_for ?opts ~arch ~config
-    ~kind:(`Workloads config.workload_iters)
-    dbt_config
 
 (* name -> seconds lookup table: the O(n^2) List.assoc aggregation the
    figures used to do is now one table build + O(1) probes *)

@@ -83,6 +83,42 @@ type row = {
   row_note : string;  (** failure detail; empty when ok *)
 }
 
+(** {2 The bench-cell codec}
+
+    The one JSON shape of a {!row}: the cells of [bench/main.exe --json]
+    files, serve row frames, [simbench client --json/--dump] output and
+    baseline snapshots all go through these functions, so every producer
+    writes the same bytes and every consumer accepts the same fields.
+    Cell keys, in order: [cell], [engine], [arch], [iters], [repeats],
+    [seconds], [mean_seconds], [samples], [kernel_insns], [kernel_perf],
+    [status], [status_note]. *)
+
+val bench_schema : string
+(** ["simbench-bench-json-3"] — the [schema] tag of a bench run; bumped
+    from [-2] when cells gained the [status] field. *)
+
+val row_to_json : ?experiment:string -> row -> Sb_util.Json.t
+(** [experiment] prepends an ["experiment"] key (snapshot cells, which
+    merge the cells of several experiments into one list). *)
+
+val row_of_json :
+  ?default_status:string -> Sb_util.Json.t -> (row, string) result
+(** Every key but [kernel_perf] and [status_note] is required (a missing
+    [kernel_perf] reads as no counters, a missing note as [""]).  A cell
+    without [status] reads as [default_status] when given (schema-2 bench
+    files and snapshots taken from them) and is rejected otherwise.
+    Errors name the cell and the field. *)
+
+val run_to_json :
+  ?schema:string ->
+  (string * Sb_util.Json.t) list ->
+  Sb_util.Json.t list ->
+  Sb_util.Json.t
+(** [run_to_json header cells] is the run envelope
+    [{"schema": schema, header..., "cells": cells}]; [schema] defaults to
+    {!bench_schema}, and a bench run's header starts with
+    ["experiment"]. *)
+
 val reset_memo : unit -> unit
 (** Drop the in-process memo (tests use this to force re-measurement). *)
 
@@ -169,10 +205,3 @@ val suite_times_for_version :
   Sb_dbt.Config.t ->
   (string * float) list
 (** Kernel seconds per benchmark for one DBT configuration (memoized). *)
-
-val workload_times_for_version :
-  ?opts:run_opts ->
-  arch:Sb_isa.Arch_sig.arch_id ->
-  config:config ->
-  Sb_dbt.Config.t ->
-  (string * float) list

@@ -20,7 +20,6 @@ module Json = Sb_util.Json
 type addr = Unix_sock of string | Tcp of string * int
 
 val addr_of_string : string -> (addr, string) result
-val addr_to_string : addr -> string
 
 (** Why a call failed.  [Connect_failed] is returned when no session was
     ever established (refused, unresolvable, no hello); [Server_gone]
@@ -53,11 +52,6 @@ val addr : t -> string
 (** The rendered address this client is connected to. *)
 
 val send : t -> Protocol.request -> (unit, error) result
-
-val read_frame : t -> (Protocol.response, error) result
-(** One response frame.  Heartbeat-aware: pings while waiting, fails with
-    {!Server_gone} after [heartbeat * miss_limit] seconds of server
-    silence.  [Pong] frames are consumed transparently. *)
 
 (** How a streamed job ended. *)
 type job_end =

@@ -108,96 +108,21 @@ let specs_of_json j =
       |> Result.map List.rev
 
 (* ------------------------------------------------------------------ *)
-(* Rows: the same cell shape bench/main.exe --json writes, so serve     *)
-(* output feeds straight into Sb_regress.Baseline readers.              *)
+(* Rows: the bench-cell codec of Sb_report.Experiments; a row frame     *)
+(* must carry its status.                                               *)
 (* ------------------------------------------------------------------ *)
 
-let row_to_json (r : Sb_report.Experiments.row) =
-  Json.Obj
-    [
-      ("cell", Json.String r.Sb_report.Experiments.row_cell);
-      ("engine", Json.String r.Sb_report.Experiments.row_engine);
-      ("arch", Json.String r.Sb_report.Experiments.row_arch);
-      ("iters", Json.Int r.Sb_report.Experiments.row_iters);
-      ("repeats", Json.Int r.Sb_report.Experiments.row_repeats);
-      ("seconds", Json.Float r.Sb_report.Experiments.row_seconds);
-      ("mean_seconds", Json.Float r.Sb_report.Experiments.row_mean_seconds);
-      ( "samples",
-        Json.List
-          (List.map
-             (fun s -> Json.Float s)
-             r.Sb_report.Experiments.row_samples) );
-      ("kernel_insns", Json.Int r.Sb_report.Experiments.row_kernel_insns);
-      ( "kernel_perf",
-        Json.Obj
-          (List.map
-             (fun (name, n) -> (name, Json.Int n))
-             r.Sb_report.Experiments.row_perf) );
-      ("status", Json.String r.Sb_report.Experiments.row_status);
-      ("status_note", Json.String r.Sb_report.Experiments.row_note);
-    ]
+let row_of_json j = Sb_report.Experiments.row_of_json j
 
 let int_field obj name =
   match Option.bind (Json.member name obj) Json.int_opt with
   | Some n -> Ok n
-  | None -> Error (Printf.sprintf "row: missing integer field %S" name)
+  | None -> Error (Printf.sprintf "missing integer field %S" name)
 
 let float_field obj name =
   match Option.bind (Json.member name obj) Json.float_opt with
   | Some f -> Ok f
-  | None -> Error (Printf.sprintf "row: missing number field %S" name)
-
-let row_of_json j =
-  let* cell = str_field j "cell" in
-  let* engine = str_field j "engine" in
-  let* arch = str_field j "arch" in
-  let* iters = int_field j "iters" in
-  let* repeats = int_field j "repeats" in
-  let* seconds = float_field j "seconds" in
-  let* mean_seconds = float_field j "mean_seconds" in
-  let* samples =
-    match Option.bind (Json.member "samples" j) Json.list_opt with
-    | None -> Error "row: missing \"samples\" array"
-    | Some l ->
-      List.fold_left
-        (fun acc s ->
-          let* acc = acc in
-          match Json.float_opt s with
-          | Some f -> Ok (f :: acc)
-          | None -> Error "row: non-numeric entry in \"samples\"")
-        (Ok []) l
-      |> Result.map List.rev
-  in
-  let* kernel_insns = int_field j "kernel_insns" in
-  let perf =
-    match Json.member "kernel_perf" j with
-    | Some (Json.Obj fields) ->
-      List.filter_map
-        (fun (name, v) -> Option.map (fun n -> (name, n)) (Json.int_opt v))
-        fields
-    | _ -> []
-  in
-  let* status = str_field j "status" in
-  let note =
-    match Option.bind (Json.member "status_note" j) Json.string_opt with
-    | Some s -> s
-    | None -> ""
-  in
-  Ok
-    {
-      Sb_report.Experiments.row_cell = cell;
-      row_engine = engine;
-      row_arch = arch;
-      row_iters = iters;
-      row_repeats = repeats;
-      row_seconds = seconds;
-      row_mean_seconds = mean_seconds;
-      row_samples = samples;
-      row_kernel_insns = kernel_insns;
-      row_perf = perf;
-      row_status = status;
-      row_note = note;
-    }
+  | None -> Error (Printf.sprintf "missing number field %S" name)
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                             *)

@@ -18,10 +18,11 @@
     [submit] frames may be flagged [resume] so reconnections are counted
     by the server.
 
-    Row cells reuse the exact JSON shape of [bench/main.exe --json] cells,
-    so rows streamed from a server feed straight into
-    [Sb_regress.Baseline.cell_of_json] and the [compare]/[baseline]
-    verbs. *)
+    Row cells are encoded and decoded by the one bench-cell codec,
+    {!Sb_report.Experiments.row_to_json} and
+    {!Sb_report.Experiments.row_of_json}: a row frame carries the same
+    bytes as the cell of a [bench/main.exe --json] file, so rows streamed
+    from a server feed straight into the [compare]/[baseline] verbs. *)
 
 module Json = Sb_util.Json
 
@@ -65,8 +66,9 @@ val specs_of_json : Json.t -> (cell_spec list, string) result
 
 (** {2 Rows} *)
 
-val row_to_json : Sb_report.Experiments.row -> Json.t
 val row_of_json : Json.t -> (Sb_report.Experiments.row, string) result
+(** {!Sb_report.Experiments.row_of_json} without a default status: a row
+    frame without ["status"] is rejected. *)
 
 (** {2 Requests (client to server)} *)
 

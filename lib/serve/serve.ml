@@ -298,7 +298,7 @@ let on_outcome t key ~live outcome =
           false )
       | Pool.Failed f -> (Compute.failure_row fl.f_spec f, true)
     in
-    let json = Protocol.row_to_json row in
+    let json = Sb_report.Experiments.row_to_json row in
     if not failed then Hashtbl.replace t.produced key json;
     List.iteri
       (fun i w -> deliver t w ~key ~cached:(cached || i > 0) ~json ~failed)
@@ -483,7 +483,7 @@ let begin_shutdown t ~reason =
                        id = j.j_id;
                        key = Protocol.spec_key sp;
                        cached = false;
-                       cell = Protocol.row_to_json row;
+                       cell = Sb_report.Experiments.row_to_json row;
                      }))
               j.j_pending;
             Queue.clear j.j_pending)

@@ -21,7 +21,9 @@ type t = {
 
 let default_ram_size = 32 * 1024 * 1024
 
-let create ?(ram_size = default_ram_size) ?now () =
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+let create ?(ram_size = default_ram_size) ?(now = now) () =
   let ram = Sb_mem.Phys_mem.create ~size:ram_size in
   let uart = Sb_mem.Uart.create () in
   let intc = Sb_mem.Intc.create () in
@@ -30,11 +32,7 @@ let create ?(ram_size = default_ram_size) ?now () =
         Sb_mem.Intc.raise_line intc Sb_mem.Intc.timer_line)
   in
   let devid = Sb_mem.Devid.create () in
-  let benchdev =
-    match now with
-    | Some now -> Sb_mem.Benchdev.create ~now ()
-    | None -> Sb_mem.Benchdev.create ()
-  in
+  let benchdev = Sb_mem.Benchdev.create ~now () in
   let bus =
     Sb_mem.Bus.create ~ram
       [

@@ -10,7 +10,6 @@ module Map : sig
   val intc_base : int
   val devid_base : int
   val bench_base : int
-  val window_size : int
 end
 
 type t = {
@@ -29,10 +28,13 @@ type t = {
           [(machine, state_gen)] so stale caches are rebuilt lazily. *)
 }
 
+val now : unit -> float
+(** The measurement clock: seconds on the OS monotonic clock, which NTP
+    cannot step.  Only differences between readings are meaningful. *)
+
 val create : ?ram_size:int -> ?now:(unit -> float) -> unit -> t
-(** Default RAM size is 32 MiB.  [now] is the wall clock used to timestamp
-    benchmark phases (defaults to the OS monotonic-ish clock the harness
-    injects; tests can pass a fake). *)
+(** Default RAM size is 32 MiB.  [now] is the clock that timestamps
+    benchmark phases; it defaults to {!now}, and tests can pass a fake. *)
 
 val load_program : t -> Sb_asm.Program.t -> unit
 (** Copy the image into physical RAM at its base and point the CPU entry at

@@ -10,8 +10,6 @@ let set_insn_budget n =
   if n <= 0 then invalid_arg "Runner.set_insn_budget: budget must be positive";
   insn_budget := n
 
-let now () = Unix.gettimeofday ()
-
 let wrap ~name ~machine ~perf ~execute =
   let kernel_start = ref None in
   let kernel_perf = ref None in
@@ -31,9 +29,9 @@ let wrap ~name ~machine ~perf ~execute =
         | Some before -> kernel_perf := Some (Perf.diff ~after:perf ~before)
         | None -> ())
       | Sb_mem.Benchdev.Setup -> ());
-  let t0 = now () in
+  let t0 = Machine.now () in
   let stop = execute () in
-  let wall_seconds = now () -. t0 in
+  let wall_seconds = Machine.now () -. t0 in
   Sb_mem.Benchdev.set_on_phase benchdev ignore;
   let insns_into_kernel =
     if Sb_mem.Benchdev.phase benchdev = Sb_mem.Benchdev.Kernel then

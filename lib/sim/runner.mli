@@ -1,8 +1,7 @@
-(** Shared engine plumbing: wall-clock measurement, kernel-phase perf
-    snapshots, WFI waiting, result assembly.  Engines implement only their
-    execution loop and delegate the rest here. *)
-
-val default_max_insns : int
+(** Shared engine plumbing: host-time measurement on the monotonic clock
+    ({!Machine.now}), kernel-phase perf snapshots, WFI waiting, result
+    assembly.  Engines implement only their execution loop and delegate
+    the rest here. *)
 
 val insn_budget : int ref
 (** Process-wide watchdog budget: the value engines use when [?max_insns]

@@ -7,7 +7,6 @@ val weighted_geomean : (float * float) list -> float
 (** [weighted_geomean [(value, weight); ...]] — the paper's "SPEC rating" is a
     weighted geometric mean across benchmarks. *)
 
-val stddev : float list -> float
 val median : float list -> float
 
 val min_of_repeats : float list -> float
@@ -24,10 +23,6 @@ val speedup : baseline:float -> float -> float
     Noise-aware significance for the regression detector ({!Sb_regress}):
     two timing cells are only distinguishable when their 95% confidence
     intervals over the recorded repeats do not overlap. *)
-
-val t_crit95 : int -> float
-(** Two-sided 95% Student-t critical value for the given degrees of
-    freedom (table for df 1..30, normal approximation beyond). *)
 
 val ci95 : float list -> float * float
 (** t-based 95% confidence interval [(lo, hi)] of the mean over repeat

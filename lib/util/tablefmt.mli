@@ -25,8 +25,5 @@ val render_series :
     graphs (Figures 2, 6, 8).  Series shorter than [x_values] are padded with
     [nan], rendered as ["-"]. *)
 
-val float_cell : float -> string
-(** Compact float formatting: 3 significant decimals, ["-"] for nan. *)
-
 val sci_cell : float -> string
 (** Scientific notation as used by the density columns of Figure 3. *)

@@ -23,9 +23,6 @@ let shift_right_arith x n =
   let n = if n >= 32 then 31 else n in
   (to_signed x asr n) land mask
 
-let lt_signed a b = to_signed a < to_signed b
-let lt_unsigned a b = of_int a < of_int b
-
 let add_with_flags a b =
   let wide = of_int a + of_int b in
   let result = wide land mask in

@@ -28,9 +28,6 @@ val shift_left : int -> int -> int
 val shift_right_logical : int -> int -> int
 val shift_right_arith : int -> int -> int
 
-val lt_signed : int -> int -> bool
-val lt_unsigned : int -> int -> bool
-
 val add_with_flags : int -> int -> int * bool * bool
 (** [add_with_flags a b] is [(result, carry, overflow)]. *)
 

@@ -340,6 +340,52 @@ let test_validated_sweep_covers_traces () =
     Alcotest.failf "divergence (%s vs %s): %s" d.Sb_verify.Verify.reference_engine
       d.Sb_verify.Verify.diverging_engine d.Sb_verify.Verify.detail
 
+(* the lint --json report parses back with its schema tag and counts; an
+   unversioned pass violation carries "version": null *)
+let test_json_report () =
+  let module Json = Sb_util.Json in
+  let finding severity loc =
+    { Lint.rule = "r"; severity; region = "kernel"; loc; message = "m \"q\"\n" }
+  in
+  let lints =
+    [
+      ( "A",
+        "sba",
+        [
+          finding Lint.Error
+            (Some
+               { Sb_analysis.Cfg.index = 3; context = Some "k"; offset = 1 });
+          finding Lint.Warning None;
+          finding Lint.Warning None;
+        ] );
+      ("B", "vlx", []);
+    ]
+  in
+  let violation =
+    {
+      Ir_check.pass = "dce";
+      version = None;
+      va = 0x1000;
+      index = 2;
+      detail = "d";
+    }
+  in
+  let report = Lint.report_to_json lints [ ("A", "sba", violation) ] in
+  match Json.of_string (Json.to_string report) with
+  | Error msg -> Alcotest.fail msg
+  | Ok j ->
+    let int name = Option.bind (Json.member name j) Json.int_opt in
+    Alcotest.(check (option string))
+      "schema" (Some "simbench-lint-json-1")
+      (Option.bind (Json.member "schema" j) Json.string_opt);
+    Alcotest.(check (option int)) "errors" (Some 2) (int "errors");
+    Alcotest.(check (option int)) "warnings" (Some 2) (int "warnings");
+    Alcotest.(check bool)
+      "unversioned violation" true
+      (match Option.bind (Json.member "pass_violations" j) Json.list_opt with
+      | Some [ v ] -> Json.member "version" v = Some Json.Null
+      | _ -> false)
+
 let () =
   Alcotest.run "analysis"
     [
@@ -366,6 +412,7 @@ let () =
             test_v3_severity_by_category;
           Alcotest.test_case "sp imbalance" `Quick test_sp_imbalance;
           Alcotest.test_case "sp balanced" `Quick test_sp_balanced_ok;
+          Alcotest.test_case "json report" `Quick test_json_report;
         ] );
       ( "suite-gate",
         [

@@ -8,6 +8,7 @@ module Json = Sb_util.Json
 module Stats = Sb_util.Stats
 module Regress = Sb_regress.Regress
 module Baseline = Sb_regress.Baseline
+module E = Sb_report.Experiments
 module Cache = Sb_jobs.Cache
 
 let contains haystack needle =
@@ -111,25 +112,26 @@ let test_json_error_positions () =
 
 let cell ?(experiment = "figX") ?(engine = "dbt:v1.7.0") ?(arch = "sba")
     ?(iters = 1000) ?(insns = 5_000) ?(status = "ok") ~name samples =
-  {
-    Regress.experiment;
-    engine;
-    arch;
-    cell = name;
-    iters;
-    repeats = List.length samples;
-    seconds = Stats.min_of_repeats samples;
-    mean_seconds = Stats.mean samples;
-    samples;
-    kernel_insns = insns;
-    perf = [];
-    status;
-  }
+  ( experiment,
+    {
+      E.row_cell = name;
+      row_engine = engine;
+      row_arch = arch;
+      row_iters = iters;
+      row_repeats = List.length samples;
+      row_seconds = Stats.min_of_repeats samples;
+      row_mean_seconds = Stats.mean samples;
+      row_samples = samples;
+      row_kernel_insns = insns;
+      row_perf = [];
+      row_status = status;
+      row_note = "";
+    } )
 
 let classify olds news =
   Regress.classify ~threshold:0.05
-    ~old_cell:(cell ~name:"Small Blocks" olds)
-    ~new_cell:(cell ~name:"Small Blocks" news)
+    ~old_cell:(snd (cell ~name:"Small Blocks" olds))
+    ~new_cell:(snd (cell ~name:"Small Blocks" news))
 
 let test_classify_regression () =
   let c = classify [ 1.0; 1.01; 0.99 ] [ 1.30; 1.31; 1.29 ] in
@@ -390,16 +392,9 @@ let test_snapshot_round_trip () =
   | Error msg -> Alcotest.fail msg
   | Ok loaded ->
     Alcotest.(check int) "cell count" 2 (List.length loaded.Regress.cells);
-    List.iter2
-      (fun (a : Regress.cell) (b : Regress.cell) ->
-        Alcotest.(check string) "cell" a.Regress.cell b.Regress.cell;
-        Alcotest.(check string) "engine" a.Regress.engine b.Regress.engine;
-        Alcotest.(check string) "arch" a.Regress.arch b.Regress.arch;
-        Alcotest.(check int) "iters" a.Regress.iters b.Regress.iters;
-        Alcotest.(check int) "insns" a.Regress.kernel_insns b.Regress.kernel_insns;
-        Alcotest.(check (list (float 1e-9))) "samples" a.Regress.samples
-          b.Regress.samples)
-      cells loaded.Regress.cells);
+    Alcotest.(check bool) "cells and experiments survive" true
+      (cells = loaded.Regress.cells));
+
   rm_rf dir
 
 let test_old_schema_rejected () =
@@ -422,7 +417,7 @@ let test_old_schema_rejected () =
   | Error msg ->
     Alcotest.(check bool) "names both schemas" true
       (contains msg "simbench-bench-json-99"
-      && contains msg Baseline.bench_schema));
+      && contains msg E.bench_schema));
   (* malformed JSON surfaces the parser's position *)
   let bad = Filename.concat dir "BENCH_bad.json" in
   write_file bad "{\"schema\": }";
@@ -437,7 +432,7 @@ let test_missing_field_named () =
   write_file file
     (Printf.sprintf
        "{\"schema\":%S,\"experiment\":\"x\",\"cells\":[{\"cell\":\"C\",\"engine\":\"e\",\"arch\":\"sba\",\"iters\":1,\"repeats\":1,\"seconds\":0.1,\"mean_seconds\":0.1,\"kernel_insns\":5}]}"
-       Baseline.bench_schema);
+       E.bench_schema);
   (match Baseline.load_bench_file file with
   | Ok _ -> Alcotest.fail "missing samples must be rejected"
   | Error msg ->

@@ -90,26 +90,82 @@ let test_spec_key_canonical () =
     (Protocol.spec_key (spec ~iters:50 ())
     <> Protocol.spec_key (spec ~iters:51 ()))
 
-let test_row_round_trip () =
-  let row =
-    {
-      Sb_report.Experiments.row_cell = "System Call";
-      row_engine = "interp";
-      row_arch = "sba";
-      row_iters = 50;
-      row_repeats = 2;
-      row_seconds = 0.125;
-      row_mean_seconds = 0.25;
-      row_samples = [ 0.25; 0.125 ];
-      row_kernel_insns = 4242;
-      row_perf = [ ("Instructions", 4242); ("Loads", 7) ];
-      row_status = "ok";
-      row_note = "";
-    }
+(* the one bench-cell codec: re-encoding a decoded row gives the bytes it
+   was decoded from.  Floats go out as %.9g, so bytes are compared, not
+   floats; names and notes carry JSON's troublesome characters. *)
+let prop_row_round_trip =
+  let open QCheck.Gen in
+  let text =
+    string_size (0 -- 12)
+      ~gen:
+        (oneofl
+           [ 'a'; 'Z'; ' '; '"'; '\\'; '\n'; '\r'; '\t'; '\001'; '\031'; '/' ])
   in
-  match Protocol.row_of_json (Protocol.row_to_json row) with
-  | Ok row' -> Alcotest.(check bool) "row round-trips" true (row = row')
-  | Error msg -> Alcotest.fail msg
+  let seconds =
+    oneof [ return nan; map Float.abs float; float_bound_inclusive 1. ]
+  in
+  let row =
+    text >>= fun row_cell ->
+    text >>= fun row_engine ->
+    text >>= fun row_arch ->
+    int >>= fun row_iters ->
+    small_nat >>= fun row_repeats ->
+    seconds >>= fun row_seconds ->
+    seconds >>= fun row_mean_seconds ->
+    list_size (0 -- 5) seconds >>= fun row_samples ->
+    int >>= fun row_kernel_insns ->
+    list_size (0 -- 4) (pair text int) >>= fun row_perf ->
+    text >>= fun row_status ->
+    text >>= fun row_note ->
+    return
+      {
+        Sb_report.Experiments.row_cell;
+        row_engine;
+        row_arch;
+        row_iters;
+        row_repeats;
+        row_seconds;
+        row_mean_seconds;
+        row_samples;
+        row_kernel_insns;
+        row_perf;
+        row_status;
+        row_note;
+      }
+  in
+  let encode r = Json.to_string (Sb_report.Experiments.row_to_json r) in
+  QCheck.Test.make ~name:"row round trip" ~count:500
+    (QCheck.make ~print:encode row)
+    (fun r ->
+      let bytes = encode r in
+      match Result.bind (Json.of_string bytes) Protocol.row_of_json with
+      | Ok r' -> encode r' = bytes
+      | Error msg -> QCheck.Test.fail_report msg)
+
+let status_free_cell =
+  "{\"cell\":\"C\",\"engine\":\"e\",\"arch\":\"sba\",\"iters\":1,\
+   \"repeats\":1,\"seconds\":0.5,\"mean_seconds\":0.5,\"samples\":[0.5],\
+   \"kernel_insns\":5,\"kernel_perf\":{}}"
+
+let test_row_status_required () =
+  let j =
+    match Json.of_string status_free_cell with
+    | Ok j -> j
+    | Error msg -> Alcotest.fail msg
+  in
+  (* a schema-2 bench cell predates "status": read back as ok *)
+  (match
+     Sb_regress.Baseline.of_cells ~source:"schema-2" ~experiment:"x" [ j ]
+   with
+  | Ok { Sb_regress.Regress.cells = [ ("x", r) ]; _ } ->
+    Alcotest.(check string)
+      "defaults to ok" "ok" r.Sb_report.Experiments.row_status
+  | Ok _ -> Alcotest.fail "expected one cell"
+  | Error msg -> Alcotest.fail msg);
+  (* a serve row frame must say how its cell ended *)
+  match Protocol.row_of_json j with
+  | Ok _ -> Alcotest.fail "a row frame without status must be rejected"
+  | Error msg -> check_contains "names the field" msg "status"
 
 let test_request_round_trip () =
   let reqs =
@@ -900,7 +956,9 @@ let () =
         [
           Alcotest.test_case "spec round trip" `Quick test_spec_round_trip;
           Alcotest.test_case "spec key canonical" `Quick test_spec_key_canonical;
-          Alcotest.test_case "row round trip" `Quick test_row_round_trip;
+          QCheck_alcotest.to_alcotest prop_row_round_trip;
+          Alcotest.test_case "row status required" `Quick
+            test_row_status_required;
           Alcotest.test_case "request round trip" `Quick test_request_round_trip;
           Alcotest.test_case "response round trip" `Quick
             test_response_round_trip;
