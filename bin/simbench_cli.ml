@@ -1487,14 +1487,11 @@ let compare_cmd =
     match String.index_opt label ':' with
     | Some i when String.sub label 0 i = "dbt" ->
       let version = String.sub label (i + 1) (String.length label - i - 1) in
-      (match Sb_dbt.Version.find version with
-      | None -> label
-      | Some config ->
-        (match
-           List.find_opt (fun (_, c) -> c = config) Sb_dbt.Version.all
-         with
-        | Some (name, _) -> "dbt:" ^ name
-        | None -> label))
+      (match
+         String.split_on_char '@' (Simbench.Engines.canonical_name ("dbt@" ^ version))
+       with
+      | [ "dbt"; name ] -> "dbt:" ^ name
+      | _ -> label)
     | _ -> label
   in
   let action old_path new_path threshold json strict all_cells old_engine

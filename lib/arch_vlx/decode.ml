@@ -2,13 +2,20 @@ open Sb_isa
 
 let lr = Insn.lr
 
-let fetch16 fetch8 a = fetch8 a lor (fetch8 (a + 1) lsl 8)
+(* Immediate bytes are let-bound so they are fetched in address order
+   (OCaml evaluates operands right to left): when an immediate runs into an
+   unmapped page, the abort then reports the first unmapped byte. *)
+let fetch16 fetch8 a =
+  let b0 = fetch8 a in
+  let b1 = fetch8 (a + 1) in
+  b0 lor (b1 lsl 8)
 
 let fetch32 fetch8 a =
-  fetch8 a
-  lor (fetch8 (a + 1) lsl 8)
-  lor (fetch8 (a + 2) lsl 16)
-  lor (fetch8 (a + 3) lsl 24)
+  let b0 = fetch8 a in
+  let b1 = fetch8 (a + 1) in
+  let b2 = fetch8 (a + 2) in
+  let b3 = fetch8 (a + 3) in
+  b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)
 
 let simm16 v = Sb_util.U32.to_signed (Sb_util.U32.sign_extend ~bits:16 v)
 

@@ -97,12 +97,9 @@ let canonical_name s =
     (* release aliases (v2.5.0-rc1/-rc2 sharing v2.5.0-rc0's config)
        canonicalise to the first name registered for the configuration,
        so content-addressed result keys deduplicate across aliases *)
-    match Sb_dbt.Version.find version with
-    | None -> s
-    | Some config -> (
-      match List.find_opt (fun (_, c) -> c = config) Sb_dbt.Version.all with
-      | Some (name, _) -> "dbt@" ^ name
-      | None -> s))
+    match Option.bind (Sb_dbt.Version.find version) Sb_dbt.Version.name_of with
+    | Some name -> "dbt@" ^ name
+    | None -> s)
   | _ -> s
 
 let paper_set arch =

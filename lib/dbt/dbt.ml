@@ -65,17 +65,7 @@ struct
       ("Undefined Instruction", "Translated");
     ]
 
-  exception Guest_fault of {
-    vector : Exn.vector;
-    cause : int;
-    far : int option;
-    return_addr : int;
-    retired : int;  (* instructions of the current block fully retired *)
-  }
-
   exception Smc_restart of { resume_va : int; retired : int }
-
-  exception Stop of Run_result.stop_reason
 
   exception Stop_in_block of { reason : Run_result.stop_reason; retired : int }
 
@@ -137,11 +127,7 @@ struct
     s_code : blk_code;
   }
 
-  type ctx = {
-    machine : Machine.t;
-    cpu : Cpu.t;
-    bus : Sb_mem.Bus.t;
-    perf : Perf.t;
+  type state = {
     pcache : Page_cache.t;
     cache : (int, block) Hashtbl.t;
     jmp_blocks : block option array;
@@ -152,7 +138,6 @@ struct
     jmp_gens : int array;
     by_page : (int, block list ref) Hashtbl.t;
     traces_by_page : (int, trace list ref) Hashtbl.t;
-    code_pages : Bytes.t;
     shadow_regs : int array;
     shadow_cop : int array;
     dtlb_r : Sb_mmu.Mtlb.t;
@@ -166,20 +151,16 @@ struct
     mutable sync_token : int;
     mutable cur_page : int;
     mutable cur_page2 : int;
-    mutable timer_backlog : int;
     mutable chain_gen : int;
         (* bumped on any event that may change va->pa mappings (TTBR/SCTLR
            writes, TLB maintenance); stale chains are ignored, exactly like
            QEMU flushing its tb_jmp_cache on tlb_flush *)
   }
 
-  let make_ctx machine perf =
-    let ram_pages = (Sb_mem.Bus.ram_size machine.Machine.bus + page_mask) / page_size in
+  type ctx = state Executor.t
+
+  let make () =
     {
-      machine;
-      cpu = machine.Machine.cpu;
-      bus = machine.Machine.bus;
-      perf;
       pcache =
         Page_cache.create ~l1_entries:cfg.Config.tlb_entries
           ~l2_entries:cfg.Config.tlb_l2_entries ~lazy_flush:cfg.Config.lazy_tlb_flush;
@@ -188,7 +169,6 @@ struct
       jmp_gens = Array.make jmp_cache_size (-1);
       by_page = Hashtbl.create 64;
       traces_by_page = Hashtbl.create 16;
-      code_pages = Bytes.make ((ram_pages + 7) / 8) '\000';
       shadow_regs = Array.make 16 0;
       shadow_cop = Array.make Cregs.count 0;
       dtlb_r = Sb_mmu.Mtlb.create ~entries:256;
@@ -198,64 +178,31 @@ struct
       sync_token = 0;
       cur_page = -1;
       cur_page2 = -1;
-      timer_backlog = 0;
       chain_gen = 0;
     }
 
   (* ---------------- state sync (exception entry cost model) ------------- *)
 
-  let sync_state ctx =
+  let sync_state (ctx : ctx) =
+    let st = ctx.tech in
     for _ = 1 to cfg.Config.exception_sync_work do
-      Array.blit ctx.cpu.Cpu.regs 0 ctx.shadow_regs 0 16;
-      Array.blit ctx.cpu.Cpu.cop 0 ctx.shadow_cop 0 Cregs.count;
-      ctx.sync_token <- (ctx.sync_token + ctx.shadow_regs.(0) + ctx.shadow_cop.(0)) land max_int
+      Array.blit ctx.cpu.Cpu.regs 0 st.shadow_regs 0 16;
+      Array.blit ctx.cpu.Cpu.cop 0 st.shadow_cop 0 Cregs.count;
+      st.sync_token <- (st.sync_token + st.shadow_regs.(0) + st.shadow_cop.(0)) land max_int
     done
 
-  let chain_verify ctx (blk : block) =
+  let chain_verify (ctx : ctx) (blk : block) =
+    let st = ctx.tech in
     for _ = 1 to cfg.Config.chain_verify_work do
-      ctx.sync_token <-
-        (ctx.sync_token + blk.key + Bool.to_int blk.valid) land max_int
+      st.sync_token <- (st.sync_token + blk.key + Bool.to_int blk.valid) land max_int
     done
-
-  (* ---------------- faults -------------------------------------------- *)
-
-  let data_fault ~iaddr ~retired ~kind ~va fault =
-    let cause = Exn.Cause.of_fault ~kind fault in
-    match kind with
-    | Sb_mmu.Access.Execute ->
-      raise
-        (Guest_fault
-           { vector = Exn.Prefetch_abort; cause; far = Some va; return_addr = iaddr; retired })
-    | Sb_mmu.Access.Read | Sb_mmu.Access.Write ->
-      raise
-        (Guest_fault
-           { vector = Exn.Data_abort; cause; far = Some va; return_addr = iaddr; retired })
-
-  let bus_fault ~iaddr ~retired ~kind ~va =
-    let vector =
-      match kind with
-      | Sb_mmu.Access.Execute -> Exn.Prefetch_abort
-      | Sb_mmu.Access.Read | Sb_mmu.Access.Write -> Exn.Data_abort
-    in
-    raise
-      (Guest_fault
-         {
-           vector;
-           cause = Exn.Cause.bus_error;
-           far = Some va;
-           return_addr = iaddr;
-           retired;
-         })
-
-  let walker_read32 ctx pa =
-    try Sb_mem.Bus.read32 ctx.bus pa with Sb_mem.Bus.Fault _ -> 0
 
   (* Slow path: L2 probe, then a table walk filling the cache. *)
-  let translate_slow ctx ~va ~kind ~priv ~iaddr ~retired =
+  let translate_slow (ctx : ctx) ~va ~kind ~priv ~iaddr ~retired =
     let vpn = va lsr page_shift in
     let asid = ctx.cpu.Cpu.cop.(Cregs.asid) in
     let entry =
-      match Page_cache.lookup_l2 ctx.pcache ~vpn ~asid with
+      match Page_cache.lookup_l2 ctx.tech.pcache ~vpn ~asid with
       | Some e ->
         Perf.incr ctx.perf Perf.Tlb_hit;
         e
@@ -263,13 +210,13 @@ struct
         Perf.incr ctx.perf Perf.Tlb_miss;
         Perf.incr ctx.perf Perf.Mmu_walks;
         (* page-table-format disambiguation: QEMU-style multi-variant MMU *)
+        let st = ctx.tech in
         for step = 1 to cfg.Config.walk_extra_work * 4 do
-          ctx.sync_token <-
-            (ctx.sync_token + ((va lsr (step land 31)) lxor step)) land max_int
+          st.sync_token <- (st.sync_token + ((va lsr (step land 31)) lxor step)) land max_int
         done;
         let ttbr = ctx.cpu.Cpu.cop.(Cregs.ttbr) in
-        match Sb_mmu.Walker.walk ~read32:(walker_read32 ctx) ~ttbr ~va with
-        | Error fault -> data_fault ~iaddr ~retired ~kind ~va fault
+        match Sb_mmu.Walker.walk ~read32:(Executor.walker_read32 ctx.bus) ~ttbr ~va with
+        | Error fault -> Executor.translation_fault ~retired ~iaddr ~kind ~va fault
         | Ok m ->
           Perf.add ctx.perf Perf.Walk_levels m.Sb_mmu.Walker.levels;
           let e =
@@ -281,41 +228,28 @@ struct
               asid;
             }
           in
-          Page_cache.insert ctx.pcache e;
+          Page_cache.insert ctx.tech.pcache e;
           e)
     in
     if Sb_mmu.Access.Ap.permits ~ap:entry.Page_cache.ap ~xn:entry.Page_cache.xn kind priv
     then (entry.Page_cache.ppn lsl page_shift) lor (va land page_mask)
-    else data_fault ~iaddr ~retired ~kind ~va Sb_mmu.Access.Permission
+    else Executor.translation_fault ~retired ~iaddr ~kind ~va Sb_mmu.Access.Permission
 
-  let translate ctx ~va ~kind ~priv ~iaddr ~retired =
+  let translate (ctx : ctx) ~va ~kind ~priv ~iaddr ~retired =
     if not (Cpu.mmu_enabled ctx.cpu) then va
     else
       let vpn = va lsr page_shift in
-      match Page_cache.lookup_l1 ctx.pcache ~vpn ~asid:ctx.cpu.Cpu.cop.(Cregs.asid) with
+      match Page_cache.lookup_l1 ctx.tech.pcache ~vpn ~asid:ctx.cpu.Cpu.cop.(Cregs.asid) with
       | Some e ->
         Perf.incr ctx.perf Perf.Tlb_hit;
         if Sb_mmu.Access.Ap.permits ~ap:e.Page_cache.ap ~xn:e.Page_cache.xn kind priv
         then (e.Page_cache.ppn lsl page_shift) lor (va land page_mask)
-        else data_fault ~iaddr ~retired ~kind ~va Sb_mmu.Access.Permission
+        else Executor.translation_fault ~retired ~iaddr ~kind ~va Sb_mmu.Access.Permission
       | None -> translate_slow ctx ~va ~kind ~priv ~iaddr ~retired
 
-  (* ---------------- code-page bitmap and block invalidation ------------ *)
+  (* ---------------- block invalidation -------------------------------- *)
 
-  let code_bit_get ctx ppage =
-    Char.code (Bytes.get ctx.code_pages (ppage lsr 3)) land (1 lsl (ppage land 7)) <> 0
-
-  let code_bit_set ctx ppage =
-    let i = ppage lsr 3 in
-    Bytes.set ctx.code_pages i
-      (Char.chr (Char.code (Bytes.get ctx.code_pages i) lor (1 lsl (ppage land 7))))
-
-  let code_bit_clear ctx ppage =
-    let i = ppage lsr 3 in
-    Bytes.set ctx.code_pages i
-      (Char.chr (Char.code (Bytes.get ctx.code_pages i) land lnot (1 lsl (ppage land 7))))
-
-  let invalidate_trace ctx (tr : trace) =
+  let invalidate_trace (ctx : ctx) (tr : trace) =
     if tr.t_valid then begin
       tr.t_valid <- false;
       Perf.incr ctx.perf Perf.Trace_invalidations;
@@ -327,87 +261,41 @@ struct
       Array.iter (fun b -> b.hot <- 0) tr.t_blocks
     end
 
-  let invalidate_page ctx ppage =
-    (match Hashtbl.find_opt ctx.by_page ppage with
+  let invalidate_page (ctx : ctx) ppage =
+    (match Hashtbl.find_opt ctx.tech.by_page ppage with
     | Some blocks ->
       List.iter
         (fun blk ->
           blk.valid <- false;
           blk.chain_a <- None;
           blk.chain_b <- None;
-          Hashtbl.remove ctx.cache blk.key)
+          Hashtbl.remove ctx.tech.cache blk.key)
         !blocks;
-      Hashtbl.remove ctx.by_page ppage
+      Hashtbl.remove ctx.tech.by_page ppage
     | None -> ());
-    (match Hashtbl.find_opt ctx.traces_by_page ppage with
+    (match Hashtbl.find_opt ctx.tech.traces_by_page ppage with
     | Some traces ->
       List.iter (invalidate_trace ctx) !traces;
-      Hashtbl.remove ctx.traces_by_page ppage
+      Hashtbl.remove ctx.tech.traces_by_page ppage
     | None -> ());
-    code_bit_clear ctx ppage;
-    Perf.incr ctx.perf Perf.Smc_invalidations
+    Executor.drop_code_page ctx ppage
 
-  (* ---------------- physical access helpers --------------------------- *)
-
-  let read_phys ctx ~iaddr ~retired ~va width pa =
-    if Sb_mem.Bus.is_ram ctx.bus pa then
-      let ram = Sb_mem.Bus.ram ctx.bus in
-      match width with
-      | Uop.W8 -> Sb_mem.Phys_mem.read8 ram pa
-      | Uop.W16 -> Sb_mem.Phys_mem.read16 ram pa
-      | Uop.W32 -> Sb_mem.Phys_mem.read32 ram pa
-    else begin
-      Perf.incr ctx.perf Perf.Io_reads;
-      try
-        match width with
-        | Uop.W8 -> Sb_mem.Bus.read8 ctx.bus pa
-        | Uop.W16 -> Sb_mem.Bus.read16 ctx.bus pa
-        | Uop.W32 -> Sb_mem.Bus.read32 ctx.bus pa
-      with Sb_mem.Bus.Fault _ -> bus_fault ~iaddr ~retired ~kind:Sb_mmu.Access.Read ~va
-    end
-
-  let write_phys ctx ~iaddr ~retired ~resume_va ~va width pa v =
-    if Sb_mem.Bus.is_ram ctx.bus pa then begin
-      let ram = Sb_mem.Bus.ram ctx.bus in
-      (match width with
-      | Uop.W8 -> Sb_mem.Phys_mem.write8 ram pa v
-      | Uop.W16 -> Sb_mem.Phys_mem.write16 ram pa v
-      | Uop.W32 -> Sb_mem.Phys_mem.write32 ram pa v);
+  (* A store into a page holding translated code invalidates it; if that is
+     one of the running block's own pages, stop executing its stale tail and
+     restart dispatch after this store. *)
+  let store_phys (ctx : ctx) ~iaddr ~retired ~resume_va ~va width pa v =
+    if Executor.write_phys ctx ~retired ~iaddr ~va width pa v then begin
       let ppage = pa lsr page_shift in
-      if code_bit_get ctx ppage then begin
-        invalidate_page ctx ppage;
-        (* if we clobbered the running block's own pages, stop executing its
-           stale tail and restart dispatch after this store *)
-        if ppage = ctx.cur_page || ppage = ctx.cur_page2 then
-          raise (Smc_restart { resume_va; retired = retired + 1 })
-      end
-    end
-    else begin
-      Perf.incr ctx.perf Perf.Io_writes;
-      try
-        match width with
-        | Uop.W8 -> Sb_mem.Bus.write8 ctx.bus pa v
-        | Uop.W16 -> Sb_mem.Bus.write16 ctx.bus pa v
-        | Uop.W32 -> Sb_mem.Bus.write32 ctx.bus pa v
-      with Sb_mem.Bus.Fault _ -> bus_fault ~iaddr ~retired ~kind:Sb_mmu.Access.Write ~va
+      invalidate_page ctx ppage;
+      if ppage = ctx.tech.cur_page || ppage = ctx.tech.cur_page2 then
+        raise (Smc_restart { resume_va; retired = retired + 1 })
     end
 
   (* ---------------- emission ------------------------------------------ *)
 
   let rec wrap_layers n f = if n <= 0 then f else wrap_layers (n - 1) (fun () -> f ())
 
-  let undef_fault ~iva ~iidx () =
-    raise
-      (Guest_fault
-         {
-           vector = Exn.Undefined;
-           cause = Exn.Cause.undefined;
-           far = None;
-           return_addr = iva;
-           retired = iidx;
-         })
-
-  let emit_alu ctx ~set_flags ~op ~rd ~rn ~rm =
+  let emit_alu (ctx : ctx) ~set_flags ~op ~rd ~rn ~rm =
     let cpu = ctx.cpu in
     let regs = cpu.Cpu.regs in
     if set_flags then begin
@@ -484,7 +372,8 @@ struct
           let read_rm = match rm with Uop.Reg r -> (fun () -> regs.(r)) | Uop.Imm v -> (fun () -> v land u32_mask) in
           fun () -> regs.(rd) <- Alu_eval.eval op (read_rn ()) (read_rm ()))
 
-  let emit_load ctx ~mmu_on ~iva ~iidx ~width ~rd ~base ~offset ~user =
+  let emit_load (ctx : ctx) ~mmu_on ~iva ~iidx ~width ~rd ~base ~offset ~user =
+    let pcache = ctx.tech.pcache in
     let cpu = ctx.cpu in
     let regs = cpu.Cpu.regs in
     let perf = ctx.perf in
@@ -498,7 +387,7 @@ struct
         Perf.incr perf Perf.Loads;
         if user then Perf.incr perf Perf.User_accesses;
         let va = (read_base () + offset) land u32_mask in
-        regs.(rd) <- read_phys ctx ~iaddr:iva ~retired:iidx ~va width va)
+        regs.(rd) <- Executor.read_phys ctx ~iaddr:iva ~retired:iidx ~va width va)
       else fun () ->
         Perf.incr perf Perf.Loads;
         if user then Perf.incr perf Perf.User_accesses;
@@ -507,7 +396,7 @@ struct
         let vpn = va lsr page_shift in
         let pa =
           match
-            Page_cache.lookup_l1 ctx.pcache ~vpn ~asid:cpu.Cpu.cop.(Cregs.asid)
+            Page_cache.lookup_l1 pcache ~vpn ~asid:cpu.Cpu.cop.(Cregs.asid)
           with
           | Some e
             when Sb_mmu.Access.Ap.permits ~ap:e.Page_cache.ap ~xn:e.Page_cache.xn
@@ -518,11 +407,12 @@ struct
             translate_slow ctx ~va ~kind:Sb_mmu.Access.Read ~priv ~iaddr:iva
               ~retired:iidx
         in
-        regs.(rd) <- read_phys ctx ~iaddr:iva ~retired:iidx ~va width pa
+        regs.(rd) <- Executor.read_phys ctx ~iaddr:iva ~retired:iidx ~va width pa
     in
     wrap_layers cfg.Config.mem_helper_layers body
 
-  let emit_store ctx ~mmu_on ~iva ~ilen ~iidx ~width ~rs ~base ~offset ~user =
+  let emit_store (ctx : ctx) ~mmu_on ~iva ~ilen ~iidx ~width ~rs ~base ~offset ~user =
+    let pcache = ctx.tech.pcache in
     let cpu = ctx.cpu in
     let regs = cpu.Cpu.regs in
     let perf = ctx.perf in
@@ -537,7 +427,7 @@ struct
         Perf.incr perf Perf.Stores;
         if user then Perf.incr perf Perf.User_accesses;
         let va = (read_base () + offset) land u32_mask in
-        write_phys ctx ~iaddr:iva ~retired:iidx ~resume_va ~va width va regs.(rs))
+        store_phys ctx ~iaddr:iva ~retired:iidx ~resume_va ~va width va regs.(rs))
       else fun () ->
         Perf.incr perf Perf.Stores;
         if user then Perf.incr perf Perf.User_accesses;
@@ -546,7 +436,7 @@ struct
         let vpn = va lsr page_shift in
         let pa =
           match
-            Page_cache.lookup_l1 ctx.pcache ~vpn ~asid:cpu.Cpu.cop.(Cregs.asid)
+            Page_cache.lookup_l1 pcache ~vpn ~asid:cpu.Cpu.cop.(Cregs.asid)
           with
           | Some e
             when Sb_mmu.Access.Ap.permits ~ap:e.Page_cache.ap ~xn:e.Page_cache.xn
@@ -557,11 +447,11 @@ struct
             translate_slow ctx ~va ~kind:Sb_mmu.Access.Write ~priv ~iaddr:iva
               ~retired:iidx
         in
-        write_phys ctx ~iaddr:iva ~retired:iidx ~resume_va ~va width pa regs.(rs)
+        store_phys ctx ~iaddr:iva ~retired:iidx ~resume_va ~va width pa regs.(rs)
     in
     wrap_layers cfg.Config.mem_helper_layers body
 
-  let emit_branch ctx ~iva ~ilen ~cond ~target ~link =
+  let emit_branch (ctx : ctx) ~iva ~ilen ~cond ~target ~link =
     let cpu = ctx.cpu in
     let regs = cpu.Cpu.regs in
     let perf = ctx.perf in
@@ -607,7 +497,7 @@ struct
           set_pc ()
         end
 
-  let emit_uop ctx ~mmu_on ~iva ~ilen ~iidx uop =
+  let emit_uop (ctx : ctx) ~mmu_on ~iva ~ilen ~iidx uop =
     let cpu = ctx.cpu in
     let regs = cpu.Cpu.regs in
     let perf = ctx.perf in
@@ -620,25 +510,16 @@ struct
       emit_store ctx ~mmu_on ~iva ~ilen ~iidx ~width ~rs ~base ~offset ~user
     | Uop.Branch { cond; target; link } -> emit_branch ctx ~iva ~ilen ~cond ~target ~link
     | Uop.Svc _ ->
-      fun () ->
-        raise
-          (Guest_fault
-             {
-               vector = Exn.Syscall;
-               cause = Exn.Cause.syscall;
-               far = None;
-               return_addr = (iva + ilen) land u32_mask;
-               retired = iidx;
-             })
-    | Uop.Undef -> undef_fault ~iva ~iidx
+      Executor.syscall ~retired:iidx ~return_addr:((iva + ilen) land u32_mask)
+    | Uop.Undef -> Executor.undef ~retired:iidx ~iaddr:iva
     | Uop.Eret -> fun () -> Exn.eret cpu
     | Uop.Cop_read { rd; creg } ->
-      if creg < 0 || creg >= Cregs.count then undef_fault ~iva ~iidx
+      if creg < 0 || creg >= Cregs.count then Executor.undef ~retired:iidx ~iaddr:iva
       else fun () ->
         Perf.incr perf Perf.Cop_reads;
         regs.(rd) <- cpu.Cpu.cop.(creg)
     | Uop.Cop_write { creg; src } ->
-      if creg < 0 || creg >= Cregs.count then undef_fault ~iva ~iidx
+      if creg < 0 || creg >= Cregs.count then Executor.undef ~retired:iidx ~iaddr:iva
       else
         let read_src =
           match src with
@@ -654,21 +535,21 @@ struct
                chains stay valid because blocks are keyed physically *)
             ()
           | Ok Cop.Translation_changed ->
-            Page_cache.flush ctx.pcache;
-            ctx.chain_gen <- ctx.chain_gen + 1
-          | Error `Undefined -> undef_fault ~iva ~iidx ())
+            Page_cache.flush ctx.tech.pcache;
+            ctx.tech.chain_gen <- ctx.tech.chain_gen + 1
+          | Error `Undefined -> Executor.undef ~retired:iidx ~iaddr:iva ())
     | Uop.Tlb_inv_page r ->
       fun () ->
         Perf.incr perf Perf.Tlb_inv_page_ops;
-        Page_cache.invalidate_page ctx.pcache
+        Page_cache.invalidate_page ctx.tech.pcache
           ~vpn:(regs.(r) lsr page_shift)
           ~asid:cpu.Cpu.cop.(Cregs.asid);
-        ctx.chain_gen <- ctx.chain_gen + 1
+        ctx.tech.chain_gen <- ctx.tech.chain_gen + 1
     | Uop.Tlb_inv_all ->
       fun () ->
         Perf.incr perf Perf.Tlb_flush_ops;
-        Page_cache.flush ctx.pcache;
-        ctx.chain_gen <- ctx.chain_gen + 1
+        Page_cache.flush ctx.tech.pcache;
+        ctx.tech.chain_gen <- ctx.tech.chain_gen + 1
     | Uop.Wfi ->
       fun () -> (
         match Runner.wait_for_interrupt ctx.machine ~perf with
@@ -687,32 +568,33 @@ struct
      [0, ram_size), so host offset = physical address).  [priv] is the
      privilege the permission check actually used; it tags the entry, so a
      mode change can never satisfy a probe the check didn't cover. *)
-  let mtlb_fill ctx mtlb ~va ~pa ~priv =
+  let mtlb_fill (ctx : ctx) mtlb ~va ~pa ~priv =
     let page_base = pa land lnot page_mask in
     if page_base + page_size <= Sb_mem.Bus.ram_size ctx.bus then
       Sb_mmu.Mtlb.fill mtlb ~vpn:(va lsr page_shift)
         ~asid:ctx.cpu.Cpu.cop.(Cregs.asid)
         ~priv:(priv_code priv) ~base:page_base
 
-  let mtlb_flush_all ctx =
-    Sb_mmu.Mtlb.flush ctx.dtlb_r;
-    Sb_mmu.Mtlb.flush ctx.dtlb_w;
-    Sb_mmu.Mtlb.flush ctx.itlb
+  let mtlb_flush_all (ctx : ctx) =
+    Sb_mmu.Mtlb.flush ctx.tech.dtlb_r;
+    Sb_mmu.Mtlb.flush ctx.tech.dtlb_w;
+    Sb_mmu.Mtlb.flush ctx.tech.itlb
 
   (* The callbacks behind Threaded.exec: the architectural slow paths of
      the closure backend, re-entered from opstream tokens.  Loads/stores
      land here on a micro-TLB miss (or MMIO / page-crossing / user-mode
      access) and refill the micro-TLB on a successful RAM translation. *)
-  let make_host ctx =
+  let make_host (ctx : ctx) =
+    let pcache = ctx.tech.pcache in
     let cpu = ctx.cpu in
     let h_load_slow ~mmu ~width ~user ~va ~iva ~iidx =
-      if not mmu then read_phys ctx ~iaddr:iva ~retired:iidx ~va width va
+      if not mmu then Executor.read_phys ctx ~iaddr:iva ~retired:iidx ~va width va
       else begin
         let priv = if user then Sb_mmu.Access.User else cpu.Cpu.mode in
         let vpn = va lsr page_shift in
         let pa =
           match
-            Page_cache.lookup_l1 ctx.pcache ~vpn ~asid:cpu.Cpu.cop.(Cregs.asid)
+            Page_cache.lookup_l1 pcache ~vpn ~asid:cpu.Cpu.cop.(Cregs.asid)
           with
           | Some e
             when Sb_mmu.Access.Ap.permits ~ap:e.Page_cache.ap ~xn:e.Page_cache.xn
@@ -723,19 +605,19 @@ struct
             translate_slow ctx ~va ~kind:Sb_mmu.Access.Read ~priv ~iaddr:iva
               ~retired:iidx
         in
-        mtlb_fill ctx ctx.dtlb_r ~va ~pa ~priv;
-        read_phys ctx ~iaddr:iva ~retired:iidx ~va width pa
+        mtlb_fill ctx ctx.tech.dtlb_r ~va ~pa ~priv;
+        Executor.read_phys ctx ~iaddr:iva ~retired:iidx ~va width pa
       end
     in
     let h_store_slow ~mmu ~width ~user ~va ~v ~iva ~resume_va ~iidx =
       if not mmu then
-        write_phys ctx ~iaddr:iva ~retired:iidx ~resume_va ~va width va v
+        store_phys ctx ~iaddr:iva ~retired:iidx ~resume_va ~va width va v
       else begin
         let priv = if user then Sb_mmu.Access.User else cpu.Cpu.mode in
         let vpn = va lsr page_shift in
         let pa =
           match
-            Page_cache.lookup_l1 ctx.pcache ~vpn ~asid:cpu.Cpu.cop.(Cregs.asid)
+            Page_cache.lookup_l1 pcache ~vpn ~asid:cpu.Cpu.cop.(Cregs.asid)
           with
           | Some e
             when Sb_mmu.Access.Ap.permits ~ap:e.Page_cache.ap ~xn:e.Page_cache.xn
@@ -746,27 +628,17 @@ struct
             translate_slow ctx ~va ~kind:Sb_mmu.Access.Write ~priv ~iaddr:iva
               ~retired:iidx
         in
-        mtlb_fill ctx ctx.dtlb_w ~va ~pa ~priv;
-        write_phys ctx ~iaddr:iva ~retired:iidx ~resume_va ~va width pa v
+        mtlb_fill ctx ctx.tech.dtlb_w ~va ~pa ~priv;
+        store_phys ctx ~iaddr:iva ~retired:iidx ~resume_va ~va width pa v
       end
     in
     let h_store_smc ~ppage ~resume_va ~iidx =
       invalidate_page ctx ppage;
-      if ppage = ctx.cur_page || ppage = ctx.cur_page2 then
+      if ppage = ctx.tech.cur_page || ppage = ctx.tech.cur_page2 then
         raise (Smc_restart { resume_va; retired = iidx + 1 })
     in
-    let h_svc ~ret ~iidx =
-      raise
-        (Guest_fault
-           {
-             vector = Exn.Syscall;
-             cause = Exn.Cause.syscall;
-             far = None;
-             return_addr = ret;
-             retired = iidx;
-           })
-    in
-    let h_undef ~iva ~iidx = undef_fault ~iva ~iidx () in
+    let h_svc ~ret ~iidx = Executor.syscall ~retired:iidx ~return_addr:ret () in
+    let h_undef ~iva ~iidx = Executor.undef ~retired:iidx ~iaddr:iva () in
     let h_cop_write ~creg ~value ~iva ~iidx =
       Perf.incr ctx.perf Perf.Cop_writes;
       match Cop.write cpu ~creg ~value with
@@ -775,24 +647,24 @@ struct
         (* micro-TLB entries are asid-tagged, like the page cache *)
         ()
       | Ok Cop.Translation_changed ->
-        Page_cache.flush ctx.pcache;
-        ctx.chain_gen <- ctx.chain_gen + 1;
+        Page_cache.flush ctx.tech.pcache;
+        ctx.tech.chain_gen <- ctx.tech.chain_gen + 1;
         mtlb_flush_all ctx
-      | Error `Undefined -> undef_fault ~iva ~iidx ()
+      | Error `Undefined -> Executor.undef ~retired:iidx ~iaddr:iva ()
     in
     let h_tlb_inv_page ~va =
       Perf.incr ctx.perf Perf.Tlb_inv_page_ops;
       let vpn = va lsr page_shift in
-      Page_cache.invalidate_page ctx.pcache ~vpn ~asid:cpu.Cpu.cop.(Cregs.asid);
-      ctx.chain_gen <- ctx.chain_gen + 1;
-      Sb_mmu.Mtlb.invalidate_page ctx.dtlb_r ~vpn;
-      Sb_mmu.Mtlb.invalidate_page ctx.dtlb_w ~vpn;
-      Sb_mmu.Mtlb.invalidate_page ctx.itlb ~vpn
+      Page_cache.invalidate_page ctx.tech.pcache ~vpn ~asid:cpu.Cpu.cop.(Cregs.asid);
+      ctx.tech.chain_gen <- ctx.tech.chain_gen + 1;
+      Sb_mmu.Mtlb.invalidate_page ctx.tech.dtlb_r ~vpn;
+      Sb_mmu.Mtlb.invalidate_page ctx.tech.dtlb_w ~vpn;
+      Sb_mmu.Mtlb.invalidate_page ctx.tech.itlb ~vpn
     in
     let h_tlb_inv_all () =
       Perf.incr ctx.perf Perf.Tlb_flush_ops;
-      Page_cache.flush ctx.pcache;
-      ctx.chain_gen <- ctx.chain_gen + 1;
+      Page_cache.flush ctx.tech.pcache;
+      ctx.tech.chain_gen <- ctx.tech.chain_gen + 1;
       mtlb_flush_all ctx
     in
     let h_wfi ~iidx =
@@ -810,8 +682,8 @@ struct
       h_ram = Sb_mem.Bus.ram ctx.bus;
       h_ram_limit = Sb_mem.Bus.ram_size ctx.bus;
       h_code_pages = ctx.code_pages;
-      h_dtlb_r = ctx.dtlb_r;
-      h_dtlb_w = ctx.dtlb_w;
+      h_dtlb_r = ctx.tech.dtlb_r;
+      h_dtlb_w = ctx.tech.dtlb_w;
       h_load_slow;
       h_store_slow;
       h_store_smc;
@@ -824,12 +696,12 @@ struct
       h_halt;
     }
 
-  let host_of ctx =
-    match ctx.thost with
+  let host_of (ctx : ctx) =
+    match ctx.tech.thost with
     | Some h -> h
     | None ->
       let h = make_host ctx in
-      ctx.thost <- Some h;
+      ctx.tech.thost <- Some h;
       h
 
   let exec_code _ctx = function
@@ -841,12 +713,12 @@ struct
 
   (* ---------------- translation --------------------------------------- *)
 
-  let trans_fetch8 ctx ~iaddr a =
+  let trans_fetch8 (ctx : ctx) ~iaddr a =
     let fast =
       (* threaded backend: code fetch probes its own micro-TLB before the
          page cache, mirroring the data-side fast path *)
       if cfg.Config.threaded && Cpu.mmu_enabled ctx.cpu then
-        Sb_mmu.Mtlb.probe ctx.itlb ~vpn:(a lsr page_shift)
+        Sb_mmu.Mtlb.probe ctx.tech.itlb ~vpn:(a lsr page_shift)
           ~asid:ctx.cpu.Cpu.cop.(Cregs.asid)
           ~priv:(priv_code ctx.cpu.Cpu.mode)
       else -1
@@ -863,10 +735,10 @@ struct
       in
       if Sb_mem.Bus.is_ram ctx.bus pa then begin
         if cfg.Config.threaded && Cpu.mmu_enabled ctx.cpu then
-          mtlb_fill ctx ctx.itlb ~va:a ~pa ~priv:ctx.cpu.Cpu.mode;
+          mtlb_fill ctx ctx.tech.itlb ~va:a ~pa ~priv:ctx.cpu.Cpu.mode;
         Sb_mem.Phys_mem.read8 (Sb_mem.Bus.ram ctx.bus) pa
       end
-      else bus_fault ~iaddr ~retired:0 ~kind:Sb_mmu.Access.Execute ~va:a
+      else Executor.bus_fault ~iaddr ~kind:Sb_mmu.Access.Execute ~va:a ()
 
   let ends_in_direct_or_fallthrough (decodeds : Uop.decoded list) =
     (* decodeds is in reverse order (head = last decoded) *)
@@ -882,7 +754,7 @@ struct
   (* decode one block's worth of instructions starting at [va]; result is in
      reverse order (head = last decoded).  Shared between block translation
      and trace stitching, which re-decodes constituent blocks. *)
-  let decode_block_rev ctx va =
+  let decode_block_rev (ctx : ctx) va =
     let start_page_va = va lsr page_shift in
     let rec decode_loop acc cur count =
       if count >= cfg.Config.max_block_insns then acc
@@ -897,12 +769,13 @@ struct
     in
     decode_loop [] va 0
 
-  let translate_block ctx va =
+  let translate_block (ctx : ctx) va =
+    let st = ctx.tech in
     Perf.incr ctx.perf Perf.Blocks_translated;
     (* fixed per-block cost: TB allocation, prologue/epilogue emission,
        direct-jump stub patching *)
     for unit = 1 to cfg.Config.emission_work * 6 do
-      ctx.sync_token <- (ctx.sync_token + (va lxor (unit * 0x5851))) land max_int
+      st.sync_token <- (st.sync_token + (va lxor (unit * 0x5851))) land max_int
     done;
     let mmu_on = Cpu.mmu_enabled ctx.cpu in
     let rev_decodeds = decode_block_rev ctx va in
@@ -930,8 +803,8 @@ struct
               (fun _uop ->
                 incr uops_total;
                 for unit = 1 to cfg.Config.emission_work do
-                  ctx.sync_token <-
-                    (ctx.sync_token + (insn.Ir.va lxor (unit * 0x9E37)))
+                  st.sync_token <-
+                    (st.sync_token + (insn.Ir.va lxor (unit * 0x9E37)))
                     land max_int
                 done)
               insn.Ir.uops)
@@ -952,8 +825,8 @@ struct
                 (* host machine-code emission: select, encode and write the
                    "code bytes" for this micro-op into the code buffer *)
                 for unit = 1 to cfg.Config.emission_work do
-                  ctx.sync_token <-
-                    (ctx.sync_token + (insn.Ir.va lxor (unit * 0x9E37)))
+                  st.sync_token <-
+                    (st.sync_token + (insn.Ir.va lxor (unit * 0x9E37)))
                     land max_int
                 done;
                 ops :=
@@ -1005,29 +878,29 @@ struct
     in
     let register ppage =
       if Sb_mem.Bus.is_ram ctx.bus (ppage lsl page_shift) then begin
-        (match Hashtbl.find_opt ctx.by_page ppage with
+        (match Hashtbl.find_opt ctx.tech.by_page ppage with
         | Some blocks -> blocks := blk :: !blocks
-        | None -> Hashtbl.add ctx.by_page ppage (ref [ blk ]));
-        code_bit_set ctx ppage
+        | None -> Hashtbl.add ctx.tech.by_page ppage (ref [ blk ]));
+        Executor.mark_code_page ctx ppage
       end
     in
     register page;
     if page2 >= 0 then register page2;
-    Hashtbl.replace ctx.cache key blk;
+    Hashtbl.replace ctx.tech.cache key blk;
     blk
 
-  let lookup_translate_slow ctx va mmu_on =
+  let lookup_translate_slow (ctx : ctx) va mmu_on =
     let pa =
       translate ctx ~va ~kind:Sb_mmu.Access.Execute ~priv:ctx.cpu.Cpu.mode ~iaddr:va
         ~retired:0
     in
     if not (Sb_mem.Bus.is_ram ctx.bus pa) then
-      bus_fault ~iaddr:va ~retired:0 ~kind:Sb_mmu.Access.Execute ~va;
+      Executor.bus_fault ~iaddr:va ~kind:Sb_mmu.Access.Execute ~va ();
     let key = (pa lsl 1) lor Bool.to_int mmu_on in
-    match Hashtbl.find_opt ctx.cache key with
+    match Hashtbl.find_opt ctx.tech.cache key with
     | Some blk when blk.valid && blk.va = va -> blk
     | Some _ ->
-      Hashtbl.remove ctx.cache key;
+      Hashtbl.remove ctx.tech.cache key;
       translate_block ctx va
     | None -> translate_block ctx va
 
@@ -1035,30 +908,30 @@ struct
      translation and the block-hash lookup.  Tag rules mirror
      [chain_candidate]: same generation, still valid, same VA and
      translation regime. *)
-  let lookup_translate ctx va =
+  let lookup_translate (ctx : ctx) va =
     Perf.incr ctx.perf Perf.Block_lookups;
     let mmu_on = Cpu.mmu_enabled ctx.cpu in
     if not cfg.Config.front_cache then lookup_translate_slow ctx va mmu_on
     else begin
       let h = jmp_hash va in
-      match Array.unsafe_get ctx.jmp_blocks h with
+      match Array.unsafe_get ctx.tech.jmp_blocks h with
       | Some b
-        when Array.unsafe_get ctx.jmp_gens h = ctx.chain_gen
+        when Array.unsafe_get ctx.tech.jmp_gens h = ctx.tech.chain_gen
              && b.valid && b.va = va && b.mmu_on = mmu_on ->
         Perf.incr ctx.perf Perf.Front_cache_hits;
         b
       | _ ->
         let b = lookup_translate_slow ctx va mmu_on in
-        Array.unsafe_set ctx.jmp_blocks h (Some b);
-        Array.unsafe_set ctx.jmp_gens h ctx.chain_gen;
+        Array.unsafe_set ctx.tech.jmp_blocks h (Some b);
+        Array.unsafe_set ctx.tech.jmp_gens h ctx.tech.chain_gen;
         b
     end
 
   (* ---------------- dispatch loop -------------------------------------- *)
 
-  let chain_candidate ctx (lb : block) pc mmu_on =
+  let chain_candidate (ctx : ctx) (lb : block) pc mmu_on =
     let matches = function
-      | Some (b, gen) when gen = ctx.chain_gen && b.valid && b.va = pc && b.mmu_on = mmu_on ->
+      | Some (b, gen) when gen = ctx.tech.chain_gen && b.valid && b.va = pc && b.mmu_on = mmu_on ->
         Some b
       | _ -> None
     in
@@ -1066,11 +939,11 @@ struct
     | Some _ as hit -> hit
     | None -> matches lb.chain_b
 
-  let chain_install ctx (lb : block) (b : block) =
+  let chain_install (ctx : ctx) (lb : block) (b : block) =
     let same_page = lb.va lsr page_shift = b.va lsr page_shift in
     if lb.chain_out && (same_page || cfg.Config.chain_across_pages) then begin
       lb.chain_b <- lb.chain_a;
-      lb.chain_a <- Some (b, ctx.chain_gen)
+      lb.chain_a <- Some (b, ctx.tech.chain_gen)
     end
 
   (* ---------------- hot-trace superblocks ------------------------------- *)
@@ -1110,13 +983,13 @@ struct
      the rules dispatch itself uses (current generation, still valid, same
      translation regime; cross-page links only exist if the configuration
      allowed installing them).  Stops at loops back into the trace. *)
-  let collect_trace_blocks ctx (b0 : block) =
+  let collect_trace_blocks (ctx : ctx) (b0 : block) =
     let rec go acc b n =
       if n >= cfg.Config.max_trace_blocks then List.rev acc
       else
         match b.chain_a with
         | Some (nxt, gen)
-          when gen = ctx.chain_gen && nxt.valid
+          when gen = ctx.tech.chain_gen && nxt.valid
                && nxt.mmu_on = b0.mmu_on
                && not (List.memq nxt acc) ->
           go (nxt :: acc) nxt (n + 1)
@@ -1132,7 +1005,8 @@ struct
      architectural branch counts are identical to block-by-block execution;
      conditional seams keep the full branch and the runtime compares pc
      against the next segment's entry, side-exiting on mismatch. *)
-  let form_trace ctx (b0 : block) =
+  let form_trace (ctx : ctx) (b0 : block) =
+    let st = ctx.tech in
     match
       let blocks = collect_trace_blocks ctx b0 in
       (* decode and classify; keep the longest stitchable prefix *)
@@ -1163,7 +1037,7 @@ struct
         | [] | [ _ ] -> None
         | parts -> Some parts))
     with
-    | exception Guest_fault _ ->
+    | exception Executor.Guest_fault _ ->
       (* re-decode faulted (racing translation change); just don't form *)
       None
     | None -> None
@@ -1172,7 +1046,7 @@ struct
       (* fixed stitching cost: trace buffer allocation, entry stub, seam
          patching — same order as a block prologue *)
       for unit = 1 to cfg.Config.emission_work * 6 do
-        ctx.sync_token <- (ctx.sync_token + (b0.va lxor (unit * 0x2545))) land max_int
+        st.sync_token <- (st.sync_token + (b0.va lxor (unit * 0x2545))) land max_int
       done;
       let ir = Ir.of_decoded (List.concat_map (fun (_, ds, _) -> ds) parts) in
       let passes_run =
@@ -1212,8 +1086,8 @@ struct
                     (fun _uop ->
                       incr uops;
                       for unit = 1 to cfg.Config.emission_work do
-                        ctx.sync_token <-
-                          (ctx.sync_token + (insn.Ir.va lxor (unit * 0x9E37)))
+                        st.sync_token <-
+                          (st.sync_token + (insn.Ir.va lxor (unit * 0x9E37)))
                           land max_int
                       done)
                     insn.Ir.uops
@@ -1236,8 +1110,8 @@ struct
                     (fun uop ->
                       incr uops;
                       for unit = 1 to cfg.Config.emission_work do
-                        ctx.sync_token <-
-                          (ctx.sync_token + (insn.Ir.va lxor (unit * 0x9E37)))
+                        st.sync_token <-
+                          (st.sync_token + (insn.Ir.va lxor (unit * 0x9E37)))
                           land max_int
                       done;
                       let closure =
@@ -1295,7 +1169,7 @@ struct
       let tr =
         {
           t_entry = b0;
-          t_gen = ctx.chain_gen;
+          t_gen = ctx.tech.chain_gen;
           t_pages = pages;
           t_blocks = Array.of_list (List.map (fun (b, _, _) -> b) parts);
           t_segs = Array.of_list segs;
@@ -1304,9 +1178,9 @@ struct
       in
       List.iter
         (fun ppage ->
-          match Hashtbl.find_opt ctx.traces_by_page ppage with
+          match Hashtbl.find_opt ctx.tech.traces_by_page ppage with
           | Some l -> l := tr :: !l
-          | None -> Hashtbl.add ctx.traces_by_page ppage (ref [ tr ]))
+          | None -> Hashtbl.add ctx.tech.traces_by_page ppage (ref [ tr ]))
         pages;
       (* the interior blocks stop being dispatched individually once this
          trace is live; reset their counters so they don't immediately form
@@ -1316,21 +1190,21 @@ struct
 
   (* A trace is dispatched only while its generation matches; a stale or
      invalidated trace is detached here so the block can re-profile. *)
-  let live_trace ctx (blk : block) =
+  let live_trace (ctx : ctx) (blk : block) =
     match blk.trace with
     | None -> None
-    | Some tr when tr.t_valid && tr.t_gen = ctx.chain_gen -> Some tr
+    | Some tr when tr.t_valid && tr.t_gen = ctx.tech.chain_gen -> Some tr
     | Some tr ->
       invalidate_trace ctx tr;
       blk.trace <- None;
       blk.hot <- 0;
       None
 
-  let deliver ctx ~vector ~cause ~far ~return_addr =
-    Perf.incr ctx.perf Perf.Exceptions_total;
-    (match vector with
+  (* Exception entry from translated code first synchronises the CPU state
+     the block kept in host form. *)
+  let take_exception (ctx : ctx) (f : Executor.fault) =
+    (match f.Executor.vector with
     | Exn.Data_abort ->
-      Perf.incr ctx.perf Perf.Data_abort;
       (* without the fast path, a data abort reconstructs the full CPU state
          from the translated-code context (the expensive pre-v2.5.0-rc0
          recovery the paper's off-scale Data-Fault improvement removed) *)
@@ -1338,28 +1212,13 @@ struct
         for _ = 1 to 8 do
           sync_state ctx
         done
-    | Exn.Prefetch_abort ->
-      Perf.incr ctx.perf Perf.Prefetch_abort;
-      sync_state ctx
-    | Exn.Undefined ->
-      Perf.incr ctx.perf Perf.Undef_insn;
-      sync_state ctx
-    | Exn.Syscall ->
-      Perf.incr ctx.perf Perf.Svc_taken;
-      sync_state ctx
-    | Exn.Irq ->
-      Perf.incr ctx.perf Perf.Irq_taken;
-      sync_state ctx
+    | Exn.Prefetch_abort | Exn.Undefined | Exn.Syscall | Exn.Irq -> sync_state ctx
     | Exn.Reset -> ());
-    Exn.enter ctx.cpu vector ~return_addr ?far ~cause ()
+    Executor.deliver ctx f
 
-  let retire ctx n =
+  let retire (ctx : ctx) n =
     Perf.add ctx.perf Perf.Insns n;
-    ctx.timer_backlog <- ctx.timer_backlog + n;
-    if ctx.timer_backlog >= 64 then begin
-      Sb_mem.Timer.advance ctx.machine.Machine.timer ctx.timer_backlog;
-      ctx.timer_backlog <- 0
-    end
+    Executor.tick ctx n
 
   (* Run a trace: segments execute back-to-back without chain-verify work or
      block re-dispatch.  Retirement is per segment, so fault accounting (and
@@ -1368,15 +1227,15 @@ struct
      boundary — pc is correct (or restored, for elided seams) whenever the
      trace can exit.  Returns the block of the last completed segment so
      normal chain dispatch resumes from it. *)
-  let run_trace ctx (tr : trace) =
+  let run_trace (ctx : ctx) (tr : trace) =
     Perf.incr ctx.perf Perf.Trace_dispatches;
     let cpu = ctx.cpu in
     let segs = tr.t_segs in
     let n = Array.length segs in
     let rec go s =
       let seg = Array.unsafe_get segs s in
-      ctx.cur_page <- seg.s_page;
-      ctx.cur_page2 <- seg.s_page2;
+      ctx.tech.cur_page <- seg.s_page;
+      ctx.tech.cur_page2 <- seg.s_page2;
       cpu.Cpu.pc <- seg.s_end_va;
       exec_code ctx seg.s_code;
       retire ctx seg.s_insns;
@@ -1386,7 +1245,7 @@ struct
         (* a store inside this segment may have invalidated a later
            constituent's page, and (in principle) an op may have bumped the
            generation: both force an exit before stale code can run *)
-        let live = tr.t_valid && ctx.chain_gen = tr.t_gen in
+        let live = tr.t_valid && ctx.tech.chain_gen = tr.t_gen in
         let nxt = Array.unsafe_get segs (s + 1) in
         if seg.s_uncond then
           if live then go (s + 1)
@@ -1406,130 +1265,80 @@ struct
     in
     Array.unsafe_get tr.t_blocks (go 0)
 
-  (* Leaving at a switch point.  The DBT honours switch requests at
-     block/trace boundaries (the same granularity as interrupt delivery),
-     so the stop lands a few instructions past the phase write — the
-     runner reports the overshoot as [insns_into_kernel] and the resumed
-     run credits it back.  Batched timer ticks are flushed so the snapshot
-     sees the timer state a cold run would at this instruction. *)
-  let flush_timer ctx =
-    if ctx.timer_backlog > 0 then begin
-      Sb_mem.Timer.advance ctx.machine.Machine.timer ctx.timer_backlog;
-      ctx.timer_backlog <- 0
-    end
-
-  let switch_stop ctx =
-    flush_timer ctx;
-    raise (Stop Run_result.Switch_point)
-
-  (* Phase boundary: flush batched device time at the next dispatch check
-     (block granularity, like interrupt delivery) so timer state realigns
-     to the retired-instruction count at every phase edge. *)
-  let phase_sync ctx benchdev =
-    flush_timer ctx;
-    Sb_mem.Benchdev.clear_sync benchdev;
-    if Sb_mem.Benchdev.stop_pending benchdev then switch_stop ctx
-
-  let execute ctx ~max_insns =
+  (* Switch requests and phase boundaries are honoured at block/trace
+     boundaries (the same granularity as interrupt delivery), so a switch
+     stop lands a few instructions past the phase write — the runner
+     reports the overshoot as [insns_into_kernel] and the resumed run
+     credits it back. *)
+  let execute (ctx : ctx) ~max_insns =
     let cpu = ctx.cpu in
     let last : block option ref = ref None in
     let benchdev = ctx.machine.Machine.benchdev in
-    try
-      while Perf.get ctx.perf Perf.Insns < max_insns do
-        if Sb_mem.Benchdev.sync_pending benchdev then phase_sync ctx benchdev;
-        if Machine.irq_pending ctx.machine then begin
-          sync_state ctx;
-          deliver ctx ~vector:Exn.Irq ~cause:Exn.Cause.irq ~far:None
-            ~return_addr:cpu.Cpu.pc;
-          last := None
-        end
-        else begin
-          try
-            let pc = cpu.Cpu.pc in
-            let blk =
-              match !last with
-              | Some lb when cfg.Config.chain_direct && lb.chain_out -> (
-                match chain_candidate ctx lb pc (Cpu.mmu_enabled cpu) with
-                | Some b ->
-                  Perf.incr ctx.perf Perf.Chain_follows;
-                  chain_verify ctx b;
-                  b
-                | None ->
-                  let b = lookup_translate ctx pc in
-                  chain_install ctx lb b;
-                  b)
-              | _ -> lookup_translate ctx pc
-            in
-            (match if tracing then live_trace ctx blk else None with
-            | Some tr -> last := Some (run_trace ctx tr)
-            | None ->
-              (if tracing && blk.chain_out then
-                 match blk.trace with
-                 | Some _ -> ()
-                 | None ->
-                   blk.hot <- blk.hot + 1;
-                   if blk.hot >= cfg.Config.trace_threshold then begin
-                     blk.hot <- 0;
-                     blk.trace <- form_trace ctx blk
-                   end);
-              ctx.cur_page <- blk.page;
-              ctx.cur_page2 <- blk.page2;
-              cpu.Cpu.pc <- blk.end_va;
-              exec_code ctx blk.code;
-              retire ctx blk.insns;
-              Perf.add ctx.perf Perf.Uops blk.uops_total;
-              last := Some blk)
-          with
-          | Guest_fault { vector; cause; far; return_addr; retired } ->
-            retire ctx retired;
-            deliver ctx ~vector ~cause ~far ~return_addr;
+    Executor.execute ctx (fun () ->
+        while Perf.get ctx.perf Perf.Insns < max_insns do
+          if Sb_mem.Benchdev.sync_pending benchdev then Executor.phase_sync ctx;
+          if Machine.irq_pending ctx.machine then begin
+            sync_state ctx;
+            take_exception ctx (Executor.irq ctx);
             last := None
-          | Smc_restart { resume_va; retired } ->
-            retire ctx retired;
-            cpu.Cpu.pc <- resume_va;
-            last := None
-          | Stop_in_block { reason; retired } ->
-            retire ctx retired;
-            raise (Stop reason)
-        end
-      done;
-      Run_result.Insn_limit
-    with Stop reason -> reason
-
-  (* Any run exit flushes the batched ticks, so snapshots taken between
-     runs carry complete device time (see interp). *)
-  let execute ctx ~max_insns =
-    let stop = execute ctx ~max_insns in
-    flush_timer ctx;
-    stop
+          end
+          else begin
+            try
+              let pc = cpu.Cpu.pc in
+              let blk =
+                match !last with
+                | Some lb when cfg.Config.chain_direct && lb.chain_out -> (
+                  match chain_candidate ctx lb pc (Cpu.mmu_enabled cpu) with
+                  | Some b ->
+                    Perf.incr ctx.perf Perf.Chain_follows;
+                    chain_verify ctx b;
+                    b
+                  | None ->
+                    let b = lookup_translate ctx pc in
+                    chain_install ctx lb b;
+                    b)
+                | _ -> lookup_translate ctx pc
+              in
+              (match if tracing then live_trace ctx blk else None with
+              | Some tr -> last := Some (run_trace ctx tr)
+              | None ->
+                (if tracing && blk.chain_out then
+                   match blk.trace with
+                   | Some _ -> ()
+                   | None ->
+                     blk.hot <- blk.hot + 1;
+                     if blk.hot >= cfg.Config.trace_threshold then begin
+                       blk.hot <- 0;
+                       blk.trace <- form_trace ctx blk
+                     end);
+                ctx.tech.cur_page <- blk.page;
+                ctx.tech.cur_page2 <- blk.page2;
+                cpu.Cpu.pc <- blk.end_va;
+                exec_code ctx blk.code;
+                retire ctx blk.insns;
+                Perf.add ctx.perf Perf.Uops blk.uops_total;
+                last := Some blk)
+            with
+            | Executor.Guest_fault f ->
+              retire ctx f.Executor.retired;
+              take_exception ctx f;
+              last := None
+            | Smc_restart { resume_va; retired } ->
+              retire ctx retired;
+              cpu.Cpu.pc <- resume_va;
+              last := None
+            | Stop_in_block { reason; retired } ->
+              retire ctx retired;
+              raise (Executor.Stop reason)
+          end
+        done;
+        Run_result.Insn_limit)
 
   (* Keep the last run's translations (block cache, traces, micro-TLBs)
-     when the machine is unchanged ([(machine, state_gen)] match): a
-     debugger stepping the same machine stays warm instead of
-     re-translating per instruction, while external state changes
-     (load_program, reset, snapshot restore) force a rebuild. *)
-  let session : (Machine.t * int * ctx) option ref = ref None
-
-  let ctx_for machine =
-    match !session with
-    | Some (m, gen, ctx)
-      when m == machine && gen = machine.Machine.state_gen ->
-      (* the ctx owns its counter array — compiled blocks and the threaded
-         host capture it — so a new run starts it from zero in place *)
-      Perf.reset ctx.perf;
-      ctx
-    | _ ->
-      let ctx = make_ctx machine (Perf.create ()) in
-      session := Some (machine, machine.Machine.state_gen, ctx);
-      ctx
-
-  let run ?max_insns machine =
-    let max_insns =
-      match max_insns with Some n -> n | None -> !Runner.insn_budget
-    in
-    let ctx = ctx_for machine in
-    Runner.wrap ~name ~machine ~perf:ctx.perf
-      ~execute:(fun () -> execute ctx ~max_insns)
+     while the machine is unchanged (see {!Executor.session}); compiled
+     blocks and the threaded host capture the context's counter array, which
+     each run resets in place. *)
+  let run = Executor.run ~name (Executor.session ()) ~make ~execute
 end
 
 module Make (A : Arch_sig.ARCH) =

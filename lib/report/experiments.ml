@@ -272,8 +272,8 @@ let mark_retried n rows =
   List.map (fun r -> { r with row_status = Printf.sprintf "retried %d" n }) rows
 
 let version_label dbt_config =
-  match List.find_opt (fun (_, c) -> c = dbt_config) Sb_dbt.Version.all with
-  | Some (name, _) -> "dbt:" ^ name
+  match Sb_dbt.Version.name_of dbt_config with
+  | Some name -> "dbt:" ^ name
   | None -> "dbt:custom"
 
 (* Checkpoint store for fast-forwarded cells: shares the result cache's

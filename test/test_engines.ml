@@ -827,6 +827,65 @@ let test_vlx_page_straddling_insn () =
         machine.Machine.cpu.Sb_sim.Cpu.regs.(2))
     vlx_engines
 
+let test_vlx_straddling_prefetch_abort () =
+  (* a 6-byte MOVI at 0x1ffd whose tail runs into unmapped page 2: the
+     prefetch abort returns to the instruction start on every engine, and
+     FAR names the first unmapped byte *)
+  let open Sb_asm.Assembler in
+  let ttbr = 0x10000 and l2 = 0x11000 and stash = 0x1800 in
+  let slot target = [ Insn (VI.Jmp target); Insn VI.Nop; Insn VI.Nop; Insn VI.Nop ] in
+  let program =
+    VI.Asm.assemble ~base:0 ~entry:"start"
+      ([ Label "start" ]
+      @ vlx_insns
+          [
+            VI.Movi_sym (0, "vectors");
+            VI.Cpw (Sb_isa.Cregs.vbar, 0);
+            VI.Movi (0, ttbr);
+            VI.Cpw (Sb_isa.Cregs.ttbr, 0);
+            VI.Movi (0, 1);
+            VI.Cpw (Sb_isa.Cregs.sctlr, 0);
+            VI.Jmp "straddle";
+          ]
+      @ [ Label "pabt_handler" ]
+      @ vlx_insns
+          [
+            VI.Movi (3, stash);
+            VI.Cpr (1, Sb_isa.Cregs.elr);
+            VI.Store (1, 3, 0);
+            VI.Cpr (2, Sb_isa.Cregs.far);
+            VI.Store (2, 3, 4);
+            VI.Halt;
+          ]
+      @ (Label "vectors" :: slot "start")
+      @ slot "start" @ slot "start" @ slot "pabt_handler" @ slot "start" @ slot "start"
+      @ [ Org 0x1ffd; Label "straddle" ]
+      @ vlx_insns [ VI.Movi (0, 0x11223344); VI.Halt ])
+  in
+  List.iter
+    (fun engine ->
+      let machine = Machine.create ~ram_size:(1 lsl 20) () in
+      Machine.load_program machine program;
+      (* pages 0 and 1 identity-mapped through one L2 table; page 2 is not *)
+      let ram = Sb_mem.Bus.ram machine.Machine.bus in
+      Sb_mem.Phys_mem.write32 ram ttbr (Sb_mmu.Pte.encode_table ~l2_base:l2);
+      List.iter
+        (fun page ->
+          Sb_mem.Phys_mem.write32 ram (l2 + (page * 4))
+            (Sb_mmu.Pte.encode_page ~pa_base:(page lsl 12)
+               ~ap:Sb_mmu.Access.Ap.kernel_only ~xn:false))
+        [ 0; 1 ];
+      let result = Sb_sim.Engine.run engine ~max_insns:10_000 machine in
+      let name = Sb_sim.Engine.name engine in
+      check_halted result;
+      Alcotest.(check int) (name ^ " one prefetch abort") 1
+        (Sb_sim.Perf.get result.Sb_sim.Run_result.perf Sb_sim.Perf.Prefetch_abort);
+      Alcotest.(check int) (name ^ " ELR = insn start") 0x1ffd
+        (Sb_mem.Phys_mem.read32 ram stash);
+      Alcotest.(check int) (name ^ " FAR = first unmapped byte") 0x2000
+        (Sb_mem.Phys_mem.read32 ram (stash + 4)))
+    vlx_engines
+
 (* Randomised self-modifying code: a patch area of NOPs (own page) ending in
    RET; each round the guest overwrites one random slot with a random
    register-setting instruction (encoded host-side and embedded as data),
@@ -929,6 +988,8 @@ let () =
           Alcotest.test_case "wfi timer wakeup" `Quick test_wfi_timer_wakeup;
           Alcotest.test_case "vlx page-straddling insn" `Quick
             test_vlx_page_straddling_insn;
+          Alcotest.test_case "vlx straddling prefetch abort" `Quick
+            test_vlx_straddling_prefetch_abort;
         ] );
       ( "equivalence",
         List.map QCheck_alcotest.to_alcotest
